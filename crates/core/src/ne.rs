@@ -54,6 +54,9 @@ pub struct NeScheduler {
 /// at every candidate II, then force each node onto its assigned cluster.
 pub struct NePolicy<'s> {
     scheduler: &'s NeScheduler,
+    /// The SCC condensation in topological order: it depends only on the graph, so
+    /// it is computed once per loop, not once per II.
+    components: Vec<Vec<NodeId>>,
     fixed: FixedAssignmentPolicy,
 }
 
@@ -63,10 +66,12 @@ impl ClusterPolicy for NePolicy<'_> {
     }
 
     fn begin_ii(&mut self, graph: &DepGraph, _machine: &MachineConfig, ii: u32) {
-        // Phase 1 is redone from scratch at every II, exactly as N&E restart both
-        // phases when scheduling fails.
-        self.fixed
-            .set_assignment(self.scheduler.assign_clusters(graph, ii));
+        // Phase 1 is redone at every II, exactly as N&E restart both phases when
+        // scheduling fails (the fill cap depends on the II; the condensation does not).
+        self.fixed.set_assignment(
+            self.scheduler
+                .assign_components(graph, &self.components, ii),
+        );
     }
 
     fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
@@ -107,6 +112,7 @@ impl NeScheduler {
     pub fn schedule_diag(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
         let mut policy = NePolicy {
             scheduler: self,
+            components: topological_components(graph),
             fixed: FixedAssignmentPolicy::new("nystrom-eichenberger", Vec::new()),
         };
         self.driver().schedule(graph, &mut policy)
@@ -147,6 +153,17 @@ impl NeScheduler {
 
     /// Phase 1: partition the nodes across the clusters (see module docs).
     pub fn assign_clusters(&self, graph: &DepGraph, ii: u32) -> Vec<usize> {
+        self.assign_components(graph, &topological_components(graph), ii)
+    }
+
+    /// [`NeScheduler::assign_clusters`] over a precomputed condensation (the SCCs in
+    /// topological order), so an II search derives it once instead of per retry.
+    fn assign_components(
+        &self,
+        graph: &DepGraph,
+        components: &[Vec<NodeId>],
+        ii: u32,
+    ) -> Vec<usize> {
         let machine = &self.machine;
         let n_clusters = machine.n_clusters;
         let mut assignment = vec![usize::MAX; graph.n_nodes()];
@@ -157,11 +174,6 @@ impl NeScheduler {
             return vec![0; graph.n_nodes()];
         }
 
-        // Super-nodes: SCCs in reverse topological order -> process in topological
-        // order (sources first) so most value producers are assigned before consumers.
-        let mut components = sccs(graph);
-        components.reverse();
-
         // Per-cluster, per-kind load (in reservation slots) and capacity.
         let mut load = vec![[0usize; 3]; n_clusters];
         let capacity: [usize; 3] = [
@@ -169,15 +181,114 @@ impl NeScheduler {
             machine.cluster.fu_count(FuKind::Fp) * ii as usize,
             machine.cluster.fu_count(FuKind::Mem) * ii as usize,
         ];
+        let mut affinity = vec![0i64; n_clusters];
 
         for component in components {
             // Demand of the whole component.
             let mut demand = [0usize; 3];
-            for &n in &component {
+            for &n in component {
                 demand[graph.node(n).class.fu_kind().index()] += 1;
             }
 
+            // Affinity: value edges between the component and nodes already assigned to
+            // each cluster (either direction).  The component's own nodes are still
+            // unassigned, so edges inside it never count.
+            affinity.fill(0);
+            for &n in component {
+                let outgoing = graph.out_edges(n).map(|e| (e, e.dst));
+                let incoming = graph.in_edges(n).map(|e| (e, e.src));
+                for (e, other) in outgoing.chain(incoming) {
+                    let c = assignment[other.index()];
+                    if e.kind.carries_value() && c != usize::MAX {
+                        affinity[c] += 1;
+                    }
+                }
+            }
+
             // Eligible clusters: those that stay under the fill cap for every kind.
+            let eligible = |c: usize, relaxed: bool| {
+                (0..3).all(|k| {
+                    if capacity[k] == 0 {
+                        return demand[k] == 0;
+                    }
+                    let cap = if relaxed {
+                        capacity[k]
+                    } else {
+                        (((capacity[k] as f64) * FILL_CAP).floor() as usize).max(1)
+                    };
+                    load[c][k] + demand[k] <= cap
+                })
+            };
+            let best = |filter: &dyn Fn(usize) -> bool| {
+                (0..n_clusters).filter(|&c| filter(c)).max_by_key(|&c| {
+                    let total_load: i64 = load[c].iter().sum::<usize>() as i64;
+                    (affinity[c], -total_load, -(c as i64))
+                })
+            };
+            let chosen = best(&|c| eligible(c, false))
+                .or_else(|| best(&|c| eligible(c, true)))
+                .or_else(|| best(&|_| true))
+                .expect("at least two clusters");
+
+            for &n in component {
+                assignment[n.index()] = chosen;
+                load[chosen][graph.node(n).class.fu_kind().index()] += 1;
+            }
+        }
+        assignment
+    }
+}
+
+/// Super-nodes: the SCCs in topological order of the condensation (sources first), so
+/// most value producers are assigned before their consumers.
+fn topological_components(graph: &DepGraph) -> Vec<Vec<NodeId>> {
+    let mut components = sccs(graph);
+    components.reverse();
+    components
+}
+
+impl LoopScheduler for NeScheduler {
+    fn machine(&self) -> &MachineConfig {
+        &self.machine
+    }
+
+    fn schedule_loop(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
+        self.schedule_diag(graph)
+    }
+
+    fn name(&self) -> &'static str {
+        "nystrom-eichenberger"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vliw_arch::OpClass;
+    use vliw_ddg::GraphBuilder;
+
+    /// The original phase-1 partition, kept as the reference the adjacency-indexed
+    /// one must equal: its affinity step scans every graph edge per candidate
+    /// cluster.
+    fn naive_assign_clusters(machine: &MachineConfig, graph: &DepGraph, ii: u32) -> Vec<usize> {
+        let n_clusters = machine.n_clusters;
+        let mut assignment = vec![usize::MAX; graph.n_nodes()];
+        if n_clusters <= 1 {
+            return vec![0; graph.n_nodes()];
+        }
+        let mut components = sccs(graph);
+        components.reverse();
+        let mut load = vec![[0usize; 3]; n_clusters];
+        let capacity: [usize; 3] = [
+            machine.cluster.fu_count(FuKind::Int) * ii as usize,
+            machine.cluster.fu_count(FuKind::Fp) * ii as usize,
+            machine.cluster.fu_count(FuKind::Mem) * ii as usize,
+        ];
+        for component in components {
+            let mut demand = [0usize; 3];
+            for &n in &component {
+                demand[graph.node(n).class.fu_kind().index()] += 1;
+            }
             let eligible = |relaxed: bool| -> Vec<usize> {
                 (0..n_clusters)
                     .filter(|&c| {
@@ -202,9 +313,6 @@ impl NeScheduler {
             if candidates.is_empty() {
                 candidates = (0..n_clusters).collect();
             }
-
-            // Affinity: value edges between the component and nodes already assigned to
-            // each candidate cluster (either direction).
             let chosen = candidates
                 .iter()
                 .copied()
@@ -223,7 +331,6 @@ impl NeScheduler {
                     (affinity, -total_load, -(c as i64))
                 })
                 .expect("candidates non-empty");
-
             for &n in &component {
                 assignment[n.index()] = chosen;
                 load[chosen][graph.node(n).class.fu_kind().index()] += 1;
@@ -231,27 +338,38 @@ impl NeScheduler {
         }
         assignment
     }
-}
 
-impl LoopScheduler for NeScheduler {
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
+    /// The adjacency-indexed partition equals the edge-scan reference on every corpus
+    /// loop, raw and unrolled by the cluster count (the bodies the `ByClusters` and
+    /// `Selective` policies schedule), across IIs from fully saturated to roomy.
+    #[test]
+    fn partition_matches_the_edge_scan_reference_on_the_corpus() {
+        let corpora = vliw_workloads::LoopCorpus::all();
+        let mut checked = 0;
+        for machine in [
+            MachineConfig::two_cluster(1, 1),
+            MachineConfig::four_cluster(2, 2),
+        ] {
+            let ne = NeScheduler::new(&machine);
+            for graph in corpora.iter().flat_map(|c| &c.loops) {
+                let unrolled = vliw_ddg::unroll(graph, machine.n_clusters as u32);
+                for g in [graph, &unrolled] {
+                    for ii in [1, 2, 3, 5, 8, 13, 21, 34, 65, 135] {
+                        assert_eq!(
+                            ne.assign_clusters(g, ii),
+                            naive_assign_clusters(&machine, g, ii),
+                            "{} ({} nodes) on {} clusters at II {ii}",
+                            g.name,
+                            g.n_nodes(),
+                            machine.n_clusters
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} partitions compared");
     }
-
-    fn schedule_loop(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        self.schedule_diag(graph)
-    }
-
-    fn name(&self) -> &'static str {
-        "nystrom-eichenberger"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vliw_arch::OpClass;
-    use vliw_ddg::GraphBuilder;
 
     fn two_independent_chains() -> DepGraph {
         GraphBuilder::new("chains")

@@ -318,10 +318,14 @@ impl<S: LoopScheduler> SelectiveUnroller<S> {
 
     /// The Figure-6 estimate of the bus cycles one unrolled iteration needs:
     /// `comneeded = NDepsNotMult(G, U) × U` transfers over the machine's buses,
-    /// `cycneeded = ⌈comneeded / nbuses⌉ × latbus`.
+    /// `cycneeded = ⌈comneeded / nbuses⌉ × latbus`.  On a machine without buses the
+    /// estimate is 0 when no transfer is needed and `u64::MAX` (never fits) otherwise.
     pub fn fig6_cycneeded(&self, graph: &DepGraph, ufactor: u32) -> u64 {
         let machine = self.scheduler.machine();
         let comneeded = graph.deps_not_multiple_of(ufactor) as u64 * ufactor as u64;
+        if machine.buses.count == 0 {
+            return if comneeded == 0 { 0 } else { u64::MAX };
+        }
         comneeded.div_ceil(machine.buses.count as u64) * machine.buses.latency as u64
     }
 
@@ -353,7 +357,7 @@ impl<S: LoopScheduler> SelectiveUnroller<S> {
 mod tests {
     use super::*;
     use crate::bsa::BsaScheduler;
-    use vliw_arch::{MachineConfig, OpClass};
+    use vliw_arch::{BusConfig, MachineConfig, OpClass};
     use vliw_ddg::GraphBuilder;
     use vliw_sms::{ModuloSchedule, ScheduleDiagnostics, ScheduledLoop};
 
@@ -628,6 +632,18 @@ mod tests {
         g.add_edge(a, b, 1, 0, vliw_ddg::DepKind::Flow);
         g.add_edge(b, a, 1, 1, vliw_ddg::DepKind::Flow);
         g.with_iterations(64)
+    }
+
+    /// A machine without buses has no transfer capacity: the estimate is 0 only when
+    /// the unrolled body needs no transfer at all.
+    #[test]
+    fn fig6_cycneeded_without_buses_does_not_divide_by_zero() {
+        let mut machine = MachineConfig::two_cluster(1, 1);
+        machine.buses = BusConfig::none();
+        let unroller = SelectiveUnroller::new(StubScheduler { machine, ii: 2 });
+        assert_eq!(unroller.fig6_cycneeded(&boundary_graph(), 2), u64::MAX);
+        // Factor 1 splits no dependence, so nothing needs to cross a bus.
+        assert_eq!(unroller.fig6_cycneeded(&boundary_graph(), 1), 0);
     }
 
     /// Figure-6 boundary: the predicate is strictly `cycneeded < II`, so a

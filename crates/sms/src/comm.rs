@@ -344,11 +344,11 @@ fn allocate_comms_inner(
     let latency = machine.buses.latency;
     let ii = mrt.ii() as i64;
     let mut new_comms: Vec<CommPlacement> = Vec::new();
-    let mut reservations = Vec::new();
 
-    let rollback = |mrt: &mut ModuloReservationTable, reservations: &mut Vec<_>| {
-        for r in reservations.drain(..) {
-            mrt.release(r);
+    // Every tentative reservation is one entry of `new_comms`.
+    let rollback = |mrt: &mut ModuloReservationTable, new_comms: &[CommPlacement]| {
+        for c in new_comms {
+            mrt.unreserve_for(c.bus, c.start_cycle, c.duration);
         }
     };
 
@@ -367,33 +367,40 @@ fn allocate_comms_inner(
             continue;
         }
         if req.deadline - req.ready < latency as i64 {
-            rollback(mrt, &mut reservations);
+            rollback(mrt, &new_comms);
             return CommAllocation::WindowTooSmall;
         }
-        // Scan start cycles in the window; at most II distinct columns exist.
+        // The earliest start in the window with a free bus; at most II distinct
+        // columns exist.
         let last_start = (req.deadline - latency as i64).min(req.ready + ii - 1);
-        let mut allocated = false;
-        for start in req.ready..=last_start {
-            if let Some(bus) = mrt.find_free_for(pool.buses(), start, latency) {
-                let reservation = mrt.reserve_for(bus, start, latency);
-                reservations.push(reservation);
-                new_comms.push(CommPlacement {
-                    src_node: req.src_node,
-                    dst_node: req.dst_node,
-                    from_cluster: req.from_cluster,
-                    to_cluster: req.to_cluster,
-                    bus,
-                    start_cycle: start,
-                    duration: latency,
-                });
-                allocated = true;
-                break;
-            }
+        let found = mrt.first_free_start(pool.buses(), req.ready, last_start, latency);
+        #[cfg(debug_assertions)]
+        {
+            // The run-skipping query must equal probing every start in turn.
+            let linear = (req.ready..=last_start).find_map(|start| {
+                mrt.find_free_for(pool.buses(), start, latency)
+                    .map(|bus| (start, bus))
+            });
+            debug_assert_eq!(
+                found, linear,
+                "first_free_start diverged from the linear bus scan over [{}, {last_start}]",
+                req.ready
+            );
         }
-        if !allocated {
-            rollback(mrt, &mut reservations);
+        let Some((start, bus)) = found else {
+            rollback(mrt, &new_comms);
             return CommAllocation::BusUnavailable;
-        }
+        };
+        mrt.reserve_for(bus, start, latency);
+        new_comms.push(CommPlacement {
+            src_node: req.src_node,
+            dst_node: req.dst_node,
+            from_cluster: req.from_cluster,
+            to_cluster: req.to_cluster,
+            bus,
+            start_cycle: start,
+            duration: latency,
+        });
     }
     CommAllocation::Satisfied(new_comms)
 }

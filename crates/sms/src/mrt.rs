@@ -16,6 +16,9 @@
 //! wrapped-mask test instead of a counter loop.  Wider rows (II > 64) use the same
 //! idea per word: the wrapped span decomposes into at most two linear column ranges,
 //! each probed/set/cleared with whole-word masks rather than per-cycle bit twiddling.
+//! [`ModuloReservationTable::first_free_start`] finds the earliest start of a
+//! multi-cycle bus transfer the same way, jumping over busy runs a word at a time
+//! instead of probing every start in the window.
 //! [`ModuloReservationTable::reset`] re-arms the table for a new II without
 //! reallocating, so an II search touches the allocator once, not once per retry.
 
@@ -102,32 +105,39 @@ impl ModuloReservationTable {
         low | wrapped
     }
 
-    /// Visit the `(word, mask)` pairs covering `duration` consecutive columns starting
-    /// at column `start`, wrapped modulo `ii` — the multi-word (`II > 64`) counterpart
-    /// of [`ModuloReservationTable::wrapped_mask`].  Because `duration <= II`, the
-    /// wrapped span splits into at most two linear column ranges (`[start, min(start +
+    /// The `(word, mask)` pairs covering `duration` consecutive columns starting at
+    /// column `start`, wrapped modulo `ii` — the multi-word (`II > 64`) counterpart of
+    /// [`ModuloReservationTable::wrapped_mask`].  Because `duration <= II`, the wrapped
+    /// span splits into at most two linear column ranges (`[start, min(start +
     /// duration, II))` and the wrapped remainder `[0, start + duration − II)`), each of
     /// which decomposes into whole-word masks.
     #[inline]
-    fn span_words(ii: u32, start: usize, duration: u32, mut f: impl FnMut(usize, u64)) {
+    fn span_words(ii: u32, start: usize, duration: u32) -> impl Iterator<Item = (usize, u64)> {
         debug_assert!(duration <= ii);
         let end = start + duration as usize;
         let ii = ii as usize;
-        for (a, b) in [(start, end.min(ii)), (0, end.saturating_sub(ii))] {
-            if a >= b {
-                continue;
-            }
-            for word in a / 64..=(b - 1) / 64 {
-                let lo = a.max(word * 64) - word * 64;
-                let hi = b.min(word * 64 + 64) - word * 64;
-                let mask = if hi - lo == 64 {
-                    u64::MAX
-                } else {
-                    ((1u64 << (hi - lo)) - 1) << lo
-                };
-                f(word, mask);
-            }
-        }
+        [(start, end.min(ii)), (0, end.saturating_sub(ii))]
+            .into_iter()
+            .filter(|&(a, b)| a < b)
+            .flat_map(|(a, b)| {
+                (a / 64..=(b - 1) / 64).map(move |word| {
+                    let lo = a.max(word * 64) - word * 64;
+                    let hi = b.min(word * 64 + 64) - word * 64;
+                    (word, (u64::MAX >> (64 - (hi - lo))) << lo)
+                })
+            })
+    }
+
+    /// Offset from column `start` of the first column among the next `len` (wrapped
+    /// modulo II) whose bit in `row` equals `busy`, found a word at a time.
+    fn first_column(&self, row: &[u64], start: usize, len: u32, busy: bool) -> Option<usize> {
+        let ii = self.ii as usize;
+        Self::span_words(self.ii, start, len)
+            .find_map(|(word, mask)| {
+                let hits = if busy { row[word] } else { !row[word] } & mask;
+                (hits != 0).then(|| word * 64 + hits.trailing_zeros() as usize)
+            })
+            .map(|col| (col + ii - start) % ii)
     }
 
     /// Whether `resource` is free at the single cycle `cycle`.
@@ -148,13 +158,9 @@ impl ModuloReservationTable {
             let mask = self.wrapped_mask(cycle, duration);
             self.bits[resource.0] & mask == 0
         } else {
-            let row = resource.0 * self.words_per_row;
-            let start = self.column(cycle);
-            let mut free = true;
-            Self::span_words(self.ii, start, duration, |word, mask| {
-                free &= self.bits[row + word] & mask == 0;
-            });
-            free
+            let row = self.row(resource);
+            Self::span_words(self.ii, self.column(cycle), duration)
+                .all(|(word, mask)| row[word] & mask == 0)
         }
     }
 
@@ -191,11 +197,9 @@ impl ModuloReservationTable {
             self.bits[resource.0] |= mask;
         } else {
             let row = resource.0 * self.words_per_row;
-            let start = self.column(cycle);
-            let bits = &mut self.bits;
-            Self::span_words(self.ii, start, duration, |word, mask| {
-                bits[row + word] |= mask;
-            });
+            for (word, mask) in Self::span_words(self.ii, self.column(cycle), duration) {
+                self.bits[row + word] |= mask;
+            }
         }
         Reservation {
             resource,
@@ -232,15 +236,13 @@ impl ModuloReservationTable {
             self.bits[resource.0] &= !mask;
         } else {
             let row = resource.0 * self.words_per_row;
-            let start = self.column(cycle);
-            let bits = &mut self.bits;
-            Self::span_words(self.ii, start, duration, |word, mask| {
+            for (word, mask) in Self::span_words(self.ii, self.column(cycle), duration) {
                 debug_assert!(
-                    bits[row + word] & mask == mask,
+                    self.bits[row + word] & mask == mask,
                     "releasing a slot that was not reserved"
                 );
-                bits[row + word] &= !mask;
-            });
+                self.bits[row + word] &= !mask;
+            }
         }
     }
 
@@ -261,6 +263,65 @@ impl ModuloReservationTable {
         resources
             .into_iter()
             .find(|&r| self.is_free_for(r, cycle, duration))
+    }
+
+    /// The earliest start in `[first, last]` at which one of `resources` is free for
+    /// `duration` consecutive cycles, paired with the first such resource in
+    /// iteration order — exactly what calling
+    /// [`ModuloReservationTable::find_free_for`] at every start in turn returns.
+    ///
+    /// Instead of testing each start, every row is searched by jumping over its busy
+    /// runs a word at a time: from a candidate start, look for the first busy column
+    /// of the span; none means the start fits, otherwise the search resumes at the
+    /// first free column after that busy column.  Later resources only search the
+    /// starts strictly before the best one found so far.
+    pub fn first_free_start<I>(
+        &self,
+        resources: I,
+        first: i64,
+        last: i64,
+        duration: u32,
+    ) -> Option<(i64, ResourceIndex)>
+    where
+        I: IntoIterator<Item = ResourceIndex>,
+    {
+        if duration > self.ii {
+            return None;
+        }
+        // Freedom is periodic in the start with period II, so if no start among the
+        // first II fits, none does.
+        let last = last.min(first + self.ii as i64 - 1);
+        let mut best: Option<(i64, ResourceIndex)> = None;
+        for resource in resources {
+            let limit = best.map_or(last, |(start, _)| start - 1);
+            if let Some(start) = self.row_first_free_start(resource, first, limit, duration) {
+                best = Some((start, resource));
+            }
+        }
+        best
+    }
+
+    /// [`ModuloReservationTable::first_free_start`] for one row.
+    fn row_first_free_start(
+        &self,
+        resource: ResourceIndex,
+        first: i64,
+        last: i64,
+        duration: u32,
+    ) -> Option<i64> {
+        let row = self.row(resource);
+        let mut start = first;
+        while start <= last {
+            // The first busy column of the span, if any, rules out every start up to
+            // it; the search resumes after the busy run it begins.
+            let Some(offset) = self.first_column(row, self.column(start), duration, true) else {
+                return Some(start);
+            };
+            let busy = start + offset as i64;
+            // No free column at all: nothing ever fits.
+            start = busy + self.first_column(row, self.column(busy), self.ii, false)? as i64;
+        }
+        None
     }
 
     /// Number of occupied slots in the row of `resource` (out of `II`).
@@ -581,6 +642,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The run-skipping bus query returns exactly what probing every start with
+    /// `find_free_for` returns, over random row states: every II from 1 to 200
+    /// (single- and multi-word rows, widths that are not multiples of 64), windows
+    /// that wrap past column II−1 or are longer than II, durations 1..=II+1, 1–3
+    /// buses, and densities up to completely full rows.
+    #[test]
+    fn first_free_start_matches_the_linear_scan() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let pools: Vec<ResourcePool> = (1..=3)
+            .map(|buses| ResourcePool::new(&MachineConfig::two_cluster(buses, 1)))
+            .collect();
+        // Busy probability per column, in 1/1000: empty through completely full.
+        let densities = [0, 100, 400, 700, 900, 970, 995, 1000];
+        let (mut found, mut queries) = (0, 0);
+        for ii in 1u32..=200 {
+            for (i, &density) in densities.iter().enumerate() {
+                let pool = &pools[i % pools.len()];
+                let mut mrt = ModuloReservationTable::new(pool, ii);
+                for bus in pool.buses() {
+                    for col in 0..ii as i64 {
+                        if rand(1000) < density {
+                            mrt.reserve(bus, col);
+                        }
+                    }
+                }
+                for _ in 0..16 {
+                    let first = rand(4 * ii as u64 + 8) as i64 - 2 * ii as i64;
+                    let last = first + rand(2 * ii as u64 + 2) as i64 - 1;
+                    // Half the queries use bus-like short spans, half any span.
+                    let max_duration = if rand(2) == 0 { ii.min(4) } else { ii + 1 };
+                    let duration = 1 + rand(max_duration as u64) as u32;
+                    let linear = (first..=last).find_map(|start| {
+                        mrt.find_free_for(pool.buses(), start, duration)
+                            .map(|bus| (start, bus))
+                    });
+                    found += usize::from(linear.is_some());
+                    queries += 1;
+                    assert_eq!(
+                        mrt.first_free_start(pool.buses(), first, last, duration),
+                        linear,
+                        "II {ii}, {} buses, density {density}, [{first}, {last}] x{duration}",
+                        pool.bus_count()
+                    );
+                }
+            }
+        }
+        // Both outcomes are well exercised.
+        assert!(
+            found > queries / 4 && found < queries * 3 / 4,
+            "{found} of {queries} found"
+        );
     }
 
     #[test]
