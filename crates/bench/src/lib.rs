@@ -13,8 +13,9 @@
 //! | `fig_unroll` | beyond the paper: IPC and code size across unroll factors `U ∈ 1..=8` |
 //! | `fig_optgap` | beyond the paper: certified optimality gaps of every policy on the Table-1 machines |
 //!
-//! plus the Criterion micro-benchmarks (`cargo bench -p vliw-bench`) measuring
-//! scheduler throughput.
+//! plus `perf`, the timing harness behind `BENCH_perf.json`.  The repo's
+//! benchmark, with per-layer scheduler timings, is the separate `perfbench/`
+//! package.
 //!
 //! The library is layered:
 //!
@@ -425,7 +426,7 @@ pub fn lint_from_env() -> bool {
 }
 
 /// The standard corpus used by all experiment binaries, optionally shrunk by the
-/// `FAST_EXPERIMENTS` environment variable (useful in CI and in the Criterion benches).
+/// `FAST_EXPERIMENTS` environment variable (useful in CI).
 pub fn standard_corpora() -> Vec<LoopCorpus> {
     let mut corpora = LoopCorpus::all();
     if std::env::var("FAST_EXPERIMENTS").is_ok() {

@@ -16,7 +16,7 @@
 //!   its functional-unit kind, the classic "balance-only" policy.
 //!
 //! Both usually need far more inter-cluster communications than BSA or N&E; the
-//! `ablation` Criterion bench and the integration tests quantify the gap.
+//! integration tests quantify the gap.
 
 use crate::ne::NeScheduler;
 use crate::result::LoopScheduler;
@@ -36,14 +36,6 @@ impl RoundRobinScheduler {
         Self {
             inner: NeScheduler::new(machine),
         }
-    }
-
-    /// Toggle the engine's incremental register-pressure tracking (used by the
-    /// equivalence property tests; results are identical either way).
-    #[must_use]
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.inner = self.inner.incremental(on);
-        self
     }
 
     /// Schedule `graph` with the round-robin assignment.
@@ -87,14 +79,6 @@ impl LoadBalancedScheduler {
         Self {
             inner: NeScheduler::new(machine),
         }
-    }
-
-    /// Toggle the engine's incremental register-pressure tracking (used by the
-    /// equivalence property tests; results are identical either way).
-    #[must_use]
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.inner = self.inner.incremental(on);
-        self
     }
 
     /// Schedule `graph` with the balance-only assignment.

@@ -31,18 +31,15 @@ use vliw_sms::{
 };
 
 /// The paper's cluster-oriented modulo scheduler.
+///
+/// Per-cluster register pressure (`MaxLive`) is always checked when choosing
+/// clusters, matching the paper (no spill code is generated).
 #[derive(Debug, Clone)]
 pub struct BsaScheduler {
     machine: MachineConfig,
-    /// Check per-cluster register pressure (`MaxLive`) when choosing clusters.  On by
-    /// default, matching the paper (no spill code is generated).
-    pub check_registers: bool,
     /// Optional fuel budget for the II search.  `None` (the default) preserves the
     /// unbudgeted search exactly, so all committed figure artifacts are unaffected.
     fuel: Option<FuelBudget>,
-    /// Use the engine's incremental register-pressure tracker (on by default; the
-    /// results are guaranteed identical either way — see the engine docs).
-    incremental: bool,
 }
 
 impl BsaScheduler {
@@ -50,9 +47,7 @@ impl BsaScheduler {
     pub fn new(machine: &MachineConfig) -> Self {
         Self {
             machine: machine.clone(),
-            check_registers: true,
             fuel: None,
-            incremental: true,
         }
     }
 
@@ -62,14 +57,6 @@ impl BsaScheduler {
     #[must_use]
     pub fn with_fuel(mut self, budget: FuelBudget) -> Self {
         self.fuel = Some(budget);
-        self
-    }
-
-    /// Toggle the engine's incremental register-pressure tracking (used by the
-    /// equivalence property tests; results are identical either way).
-    #[must_use]
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
         self
     }
 
@@ -87,9 +74,7 @@ impl BsaScheduler {
     /// Like [`BsaScheduler::schedule`], but also return the engine's
     /// [`vliw_sms::ScheduleDiagnostics`].
     pub fn schedule_diag(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        let mut driver = IiSearchDriver::new(&self.machine)
-            .check_registers(self.check_registers)
-            .incremental(self.incremental);
+        let mut driver = IiSearchDriver::new(&self.machine);
         if let Some(fuel) = self.fuel {
             driver = driver.with_fuel(fuel);
         }
@@ -658,11 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn register_pressure_check_can_be_disabled() {
+    fn a_roomier_register_file_never_raises_ii() {
         let machine = MachineConfig::four_cluster(1, 1);
         let g = wide_loop();
-        let mut relaxed = BsaScheduler::new(&machine);
-        relaxed.check_registers = false;
+        let mut roomy = machine.clone();
+        roomy.cluster.registers = 1 << 20;
+        let relaxed = BsaScheduler::new(&roomy);
         let strict = BsaScheduler::new(&machine);
         let r = relaxed.schedule(&g).unwrap();
         let s = strict.schedule(&g).unwrap();

@@ -40,14 +40,11 @@ use vliw_sms::{
 const FILL_CAP: f64 = 0.85;
 
 /// Two-phase (assign, then schedule) modulo scheduler, in the style of Nystrom &
-/// Eichenberger.
+/// Eichenberger.  Per-cluster register pressure is checked during scheduling, as in
+/// BSA.
 #[derive(Debug, Clone)]
 pub struct NeScheduler {
     machine: MachineConfig,
-    /// Check per-cluster register pressure during scheduling (as in BSA).
-    pub check_registers: bool,
-    /// Use the engine's incremental register-pressure tracker (on by default).
-    incremental: bool,
 }
 
 /// The [`ClusterPolicy`] of the two-phase baseline: recompute the phase-1 assignment
@@ -84,17 +81,7 @@ impl NeScheduler {
     pub fn new(machine: &MachineConfig) -> Self {
         Self {
             machine: machine.clone(),
-            check_registers: true,
-            incremental: true,
         }
-    }
-
-    /// Toggle the engine's incremental register-pressure tracking (used by the
-    /// equivalence property tests; results are identical either way).
-    #[must_use]
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
     }
 
     /// The machine being scheduled for.
@@ -115,7 +102,7 @@ impl NeScheduler {
             components: topological_components(graph),
             fixed: FixedAssignmentPolicy::new("nystrom-eichenberger", Vec::new()),
         };
-        self.driver().schedule(graph, &mut policy)
+        IiSearchDriver::new(&self.machine).schedule(graph, &mut policy)
     }
 
     /// Modulo schedule `graph` with a *fixed*, caller-supplied cluster assignment
@@ -141,14 +128,7 @@ impl NeScheduler {
             )));
         }
         let mut policy = FixedAssignmentPolicy::new("fixed-assignment", assignment.to_vec());
-        self.driver().schedule(graph, &mut policy)
-    }
-
-    /// The shared engine configured for this scheduler.
-    fn driver(&self) -> IiSearchDriver<'_> {
-        IiSearchDriver::new(&self.machine)
-            .check_registers(self.check_registers)
-            .incremental(self.incremental)
+        IiSearchDriver::new(&self.machine).schedule(graph, &mut policy)
     }
 
     /// Phase 1: partition the nodes across the clusters (see module docs).

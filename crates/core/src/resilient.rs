@@ -141,7 +141,6 @@ impl std::error::Error for LadderFailure {}
 pub struct ResilientScheduler {
     machine: MachineConfig,
     rung_fuel: Option<FuelBudget>,
-    check_registers: bool,
 }
 
 impl ResilientScheduler {
@@ -150,7 +149,6 @@ impl ResilientScheduler {
         Self {
             machine: machine.clone(),
             rung_fuel: None,
-            check_registers: true,
         }
     }
 
@@ -160,14 +158,6 @@ impl ResilientScheduler {
     #[must_use]
     pub fn with_rung_fuel(mut self, budget: FuelBudget) -> Self {
         self.rung_fuel = Some(budget);
-        self
-    }
-
-    /// Enable or disable register checking in the searching rungs (the sequential
-    /// rung always checks, since nothing can catch an overflow after it).
-    #[must_use]
-    pub fn check_registers(mut self, on: bool) -> Self {
-        self.check_registers = on;
         self
     }
 
@@ -300,9 +290,7 @@ impl ResilientScheduler {
         mode: RegisterCheckMode,
         certifier: &vliw_lint::Certifier,
     ) -> Result<ScheduledLoop, RungError> {
-        let mut driver = IiSearchDriver::new(&self.machine)
-            .check_registers(self.check_registers)
-            .register_mode(mode);
+        let mut driver = IiSearchDriver::new(&self.machine).register_mode(mode);
         if let Some(fuel) = self.rung_fuel {
             driver = driver.with_fuel(fuel);
         }

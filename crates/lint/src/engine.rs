@@ -5,10 +5,12 @@
 //! into row `0` of the next kernel iteration — so every dataflow problem over it is
 //! a fixpoint over a single-cycle CFG, in the style of rustc's MIR dataflow layer:
 //! an analysis supplies a transfer function per row, the engine iterates sweeps
-//! around the ring (in the analysis' direction) until no boundary state changes.
-//! Loop-carried dependences need no special casing — a fact generated late in the
-//! kernel simply propagates across the wraparound into the early rows, which is
-//! exactly how a value produced in stage `s` is consumed in stage `s + d`.
+//! around the ring until no boundary state changes.  Every analysis here is
+//! *backward* (facts flow against execution, as in liveness): row `r` feeds row
+//! `(r − 1) mod II`.  Loop-carried dependences need no special casing — a fact
+//! generated early in the kernel simply propagates across the wraparound into the
+//! late rows, which is exactly how a value produced in stage `s` stays live until
+//! its use in stage `s + d`.
 //!
 //! Convergence is guaranteed for monotone transfer functions because the domain is
 //! a finite powerset lattice ([`BitSet`]) joined by union: every sweep that changes
@@ -19,16 +21,7 @@
 
 use crate::domain::BitSet;
 
-/// Direction a dataflow analysis travels around the kernel ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow with execution: row `r` feeds row `(r + 1) mod II`.
-    Forward,
-    /// Facts flow against execution: row `r` feeds row `(r − 1) mod II`.
-    Backward,
-}
-
-/// One dataflow problem over the kernel rows of a modulo schedule.
+/// One backward dataflow problem over the kernel rows of a modulo schedule.
 pub trait KernelAnalysis {
     /// Number of kernel rows (the schedule's `II`).
     fn rows(&self) -> usize;
@@ -36,24 +29,14 @@ pub trait KernelAnalysis {
     /// Size of the bit universe (lattice width).
     fn universe(&self) -> usize;
 
-    /// Which way facts travel.
-    fn direction(&self) -> Direction;
-
-    /// Apply row `row`'s transfer function to `state` in place.
-    ///
-    /// For a [`Direction::Forward`] analysis `state` is the entry state of the row
-    /// and becomes its exit state; for [`Direction::Backward`] it is the exit
-    /// (live-out) state and becomes the entry (live-in) state.
+    /// Apply row `row`'s transfer function to `state` in place: `state` is the
+    /// exit (live-out) state of the row and becomes its entry (live-in) state.
     fn transfer(&self, row: usize, state: &mut BitSet);
 }
 
-/// Solve `analysis` to fixpoint; returns one boundary state per row.
-///
-/// The returned vector holds, for row `r`:
-///
-/// * [`Direction::Forward`]: the state *entering* row `r` (facts that survived the
-///   wraparound from previous rows);
-/// * [`Direction::Backward`]: the state *leaving* row `r` (the live-out set).
+/// Solve `analysis` to fixpoint; returns one boundary state per row: the state
+/// *leaving* row `r` (the live-out set, including facts that crossed the
+/// wraparound from row `0` into row `II − 1`).
 ///
 /// The complementary state of a row is obtained by applying
 /// [`KernelAnalysis::transfer`] to a clone of its boundary state.
@@ -75,23 +58,11 @@ pub fn fixpoint<A: KernelAnalysis + ?Sized>(analysis: &A) -> Vec<BitSet> {
              a transfer function is not monotone"
         );
         let mut changed = false;
-        match analysis.direction() {
-            Direction::Forward => {
-                for r in 0..rows {
-                    scratch.clear();
-                    scratch.union_with(&boundary[r]);
-                    analysis.transfer(r, &mut scratch);
-                    changed |= boundary[(r + 1) % rows].union_with(&scratch);
-                }
-            }
-            Direction::Backward => {
-                for r in (0..rows).rev() {
-                    scratch.clear();
-                    scratch.union_with(&boundary[r]);
-                    analysis.transfer(r, &mut scratch);
-                    changed |= boundary[(r + rows - 1) % rows].union_with(&scratch);
-                }
-            }
+        for r in (0..rows).rev() {
+            scratch.clear();
+            scratch.union_with(&boundary[r]);
+            analysis.transfer(r, &mut scratch);
+            changed |= boundary[(r + rows - 1) % rows].union_with(&scratch);
         }
         if !changed {
             break;
@@ -104,47 +75,44 @@ pub fn fixpoint<A: KernelAnalysis + ?Sized>(analysis: &A) -> Vec<BitSet> {
 mod tests {
     use super::*;
 
-    /// A toy forward analysis: bit `b` is generated at row `b` and killed at row
-    /// `(b + k) mod rows`, i.e. each fact lives `k` rows then dies.
-    struct GenThenKill {
+    /// A toy backward analysis: bit `b` is generated (used) at row `b` and killed
+    /// (defined) at row `(b − k) mod rows`, i.e. each value is live for the `k`
+    /// rows before its use.
+    struct UseAfterDef {
         rows: usize,
         lifetime: usize,
     }
 
-    impl KernelAnalysis for GenThenKill {
+    impl KernelAnalysis for UseAfterDef {
         fn rows(&self) -> usize {
             self.rows
         }
         fn universe(&self) -> usize {
             self.rows
         }
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
         fn transfer(&self, row: usize, state: &mut BitSet) {
-            // Kill before gen so a fact killed and regenerated in one row survives.
-            let dead = (row + self.rows - self.lifetime) % self.rows;
-            state.remove(dead);
+            // Kill before gen so a value defined and used in one row stays live-in.
+            let defined = (row + self.lifetime) % self.rows;
+            state.remove(defined);
             state.insert(row);
         }
     }
 
     #[test]
-    fn forward_facts_wrap_around_the_kernel() {
-        // 5 rows, lifetime 2: entry state of row r must hold exactly the facts
-        // generated in the previous 2 rows (they wrap past row 0).
-        let a = GenThenKill {
+    fn backward_facts_wrap_around_the_kernel() {
+        // 5 rows, lifetime 2: live-out of row r must hold exactly the values used
+        // in the next 2 rows (the uses in rows 0 and 1 wrap back past row II − 1).
+        let a = UseAfterDef {
             rows: 5,
             lifetime: 2,
         };
         let states = fixpoint(&a);
         for (r, s) in states.iter().enumerate() {
-            let expect: Vec<usize> = vec![(r + 3) % 5, (r + 4) % 5];
             let mut got: Vec<usize> = s.iter().collect();
             got.sort_unstable();
-            let mut want = expect;
+            let mut want = vec![(r + 1) % 5, (r + 2) % 5];
             want.sort_unstable();
-            assert_eq!(got, want, "entry state of row {r}");
+            assert_eq!(got, want, "live-out state of row {r}");
         }
     }
 
@@ -159,9 +127,6 @@ mod tests {
             }
             fn universe(&self) -> usize {
                 1
-            }
-            fn direction(&self) -> Direction {
-                Direction::Backward
             }
             fn transfer(&self, row: usize, state: &mut BitSet) {
                 // Value defined at row 0, used at row 2: live-in of rows 1..=2.
@@ -191,9 +156,6 @@ mod tests {
             }
             fn universe(&self) -> usize {
                 0
-            }
-            fn direction(&self) -> Direction {
-                Direction::Forward
             }
             fn transfer(&self, _row: usize, _state: &mut BitSet) {}
         }

@@ -4,11 +4,11 @@
 //! (in the style of rustc's MIR dataflow layer), plus the analyses and lints built
 //! on it:
 //!
-//! * [`domain`] / [`engine`] — bit lattices and the fixpoint driver across the II
-//!   wraparound (loop-carried facts propagate around the kernel ring);
+//! * [`domain`] / [`engine`] — bit lattices and the backward fixpoint driver
+//!   across the II wraparound (loop-carried facts propagate around the kernel
+//!   ring);
 //! * [`liveness`] — modulo liveness: per-cluster live sets and an independent
 //!   recomputation of the `MaxLive` register-pressure numbers;
-//! * [`reaching`] — reaching definitions across loop-carried dependences;
 //! * [`makespan`] — closed-form makespan / `NCYCLES` re-derivation and the IPC
 //!   drift window;
 //! * [`lints`] / [`diagnostics`] — the lint registry (stable ids, fixed
@@ -37,14 +37,12 @@ pub mod lints;
 pub mod liveness;
 pub mod makespan;
 pub mod optimal;
-pub mod reaching;
 pub mod reportio;
 
 pub use certify::{Certifier, CLIFF_MARGIN, IMBALANCE_GAP};
 pub use diagnostics::{Diagnostic, LintReport, Severity};
 pub use domain::BitSet;
-pub use engine::{fixpoint, Direction, KernelAnalysis};
+pub use engine::{fixpoint, KernelAnalysis};
 pub use liveness::{ModuloLiveness, ValueInterval};
 pub use makespan::{ncycles_drift_ok, static_makespan, static_ncycles, static_stage_count};
 pub use optimal::{OptCertificate, OptVerdict, OptimalSolver, DEFAULT_SOLVER_PROBES};
-pub use reaching::ReachingDefs;

@@ -21,7 +21,7 @@
 //!    sets only answer membership queries (the dead-value lint, debugging).
 
 use crate::domain::BitSet;
-use crate::engine::{fixpoint, Direction, KernelAnalysis};
+use crate::engine::{fixpoint, KernelAnalysis};
 use std::collections::BTreeMap;
 use vliw_arch::MachineConfig;
 use vliw_ddg::{DepGraph, NodeId};
@@ -70,9 +70,6 @@ impl KernelAnalysis for ClusterLiveness {
     }
     fn universe(&self) -> usize {
         self.universe
-    }
-    fn direction(&self) -> Direction {
-        Direction::Backward
     }
     fn transfer(&self, row: usize, state: &mut BitSet) {
         // live-in = (live-out − defs) ∪ uses

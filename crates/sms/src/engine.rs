@@ -117,9 +117,7 @@ pub struct EngineView<'a> {
     tracker: &'a mut PressureTracker,
     comm_scratch: &'a mut ProbeComms,
     ii: u32,
-    check_registers: bool,
     per_placement_registers: bool,
-    incremental: bool,
     bus_failed: bool,
     register_failed: bool,
 }
@@ -197,7 +195,7 @@ impl<'a> EngineView<'a> {
         comm_probe.collect(self.graph, self.sched, node, cluster);
         // Likewise the register-pressure affected set is fixed for the whole
         // probe — collect it once instead of once per scanned cycle.
-        if self.check_registers && self.per_placement_registers && self.incremental {
+        if self.per_placement_registers {
             self.tracker.prepare_probe(self.graph, self.sched, node);
         }
         let out = self.probe_with(node, cluster, &mut comm_probe);
@@ -266,7 +264,7 @@ impl<'a> EngineView<'a> {
                 CommAllocation::Satisfied(comms) => {
                     // Register-pressure check on the schedule itself: apply the
                     // trial, measure lifetimes, roll back to the checkpoint.
-                    let (fits, max_live) = if self.check_registers && self.per_placement_registers {
+                    let (fits, max_live) = if self.per_placement_registers {
                         let cp = self.sched.checkpoint();
                         for c in &comms {
                             self.sched.add_comm(*c);
@@ -277,23 +275,18 @@ impl<'a> EngineView<'a> {
                             cluster,
                             fu,
                         });
-                        let (fits, max_live) = if self.incremental {
-                            let got = self.tracker.evaluate(self.graph, self.sched, node, cluster);
-                            #[cfg(debug_assertions)]
-                            {
-                                let lt = LifetimeMap::new(self.graph, self.sched, machine);
-                                debug_assert_eq!(
-                                    got,
-                                    (lt.fits(machine), lt.max_live_in(cluster)),
-                                    "incremental pressure diverged from LifetimeMap \
-                                     placing {node} on cluster {cluster} at cycle {cycle}"
-                                );
-                            }
-                            got
-                        } else {
+                        let (fits, max_live) =
+                            self.tracker.evaluate(self.graph, self.sched, node, cluster);
+                        #[cfg(debug_assertions)]
+                        {
                             let lt = LifetimeMap::new(self.graph, self.sched, machine);
-                            (lt.fits(machine), lt.max_live_in(cluster))
-                        };
+                            debug_assert_eq!(
+                                (fits, max_live),
+                                (lt.fits(machine), lt.max_live_in(cluster)),
+                                "incremental pressure diverged from LifetimeMap \
+                                 placing {node} on cluster {cluster} at cycle {cycle}"
+                            );
+                        }
                         self.sched.rollback(cp);
                         (fits, max_live)
                     } else {
@@ -654,19 +647,20 @@ struct EngineScratch {
 /// attempt actually fails), and the per-placement register check is answered by an
 /// incremental [`PressureTracker`] instead of rebuilding every lifetime per probe.
 /// **Equivalence guarantee:** all of this is a pure optimization — schedules,
-/// [`ScheduleDiagnostics`] (including the II trajectory) and fuel receipts are
-/// byte-identical to the from-scratch search, which [`IiSearchDriver::incremental`]
-/// can re-enable for A/B comparison (property-tested across all five policies on
-/// random machines in `crates/verify/tests/incremental_equiv.rs`;
-/// debug builds additionally cross-check every incremental pressure answer against
-/// a fresh [`LifetimeMap`]).
+/// [`ScheduleDiagnostics`] (including the II trajectory) and fuel receipts are those
+/// of the from-scratch search.  Debug builds cross-check every incremental pressure
+/// answer against a fresh [`LifetimeMap`], and
+/// `crates/verify/tests/incremental_equiv.rs` certifies the schedules of all five
+/// policies on random machines against the independent `vliw_lint` analyses.
+///
+/// The register constraint is part of the model, never an option: a placement that
+/// overflows a register file is not a candidate.  A machine without a practical
+/// register limit is expressed as a large register file.
 #[derive(Debug, Clone)]
 pub struct IiSearchDriver<'m> {
     machine: &'m MachineConfig,
-    check_registers: bool,
     register_mode: RegisterCheckMode,
     fuel: Option<FuelBudget>,
-    incremental: bool,
 }
 
 impl<'m> IiSearchDriver<'m> {
@@ -675,25 +669,9 @@ impl<'m> IiSearchDriver<'m> {
     pub fn new(machine: &'m MachineConfig) -> Self {
         Self {
             machine,
-            check_registers: true,
             register_mode: RegisterCheckMode::PerPlacement,
             fuel: None,
-            incremental: true,
         }
-    }
-
-    /// Enable or disable register checking entirely.
-    pub fn check_registers(mut self, on: bool) -> Self {
-        self.check_registers = on;
-        self
-    }
-
-    /// Toggle the incremental register-pressure fast path (default on).  `false`
-    /// rebuilds a [`LifetimeMap`] per probed placement instead — same answers,
-    /// slower; kept as the reference implementation for equivalence tests.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
     }
 
     /// Choose when the register check runs (see [`RegisterCheckMode`]).
@@ -937,8 +915,7 @@ impl<'m> IiSearchDriver<'m> {
         scratch.mrt.reset(ii);
         scratch.assignment.fill(None);
         let per_placement = matches!(self.register_mode, RegisterCheckMode::PerPlacement);
-        let incremental_regs = self.incremental && self.check_registers && per_placement;
-        if incremental_regs {
+        if per_placement {
             scratch.tracker.reset(self.machine, graph.n_nodes(), ii);
         }
         let EngineScratch {
@@ -963,9 +940,7 @@ impl<'m> IiSearchDriver<'m> {
                 tracker,
                 comm_scratch,
                 ii,
-                check_registers: self.check_registers,
                 per_placement_registers: per_placement,
-                incremental: self.incremental,
                 bus_failed: false,
                 register_failed: false,
             };
@@ -990,7 +965,7 @@ impl<'m> IiSearchDriver<'m> {
                         fu: trial.fu,
                     });
                     assignment[node.index()] = Some(trial.cluster);
-                    if incremental_regs {
+                    if per_placement {
                         tracker.commit(graph, &sched, node);
                     }
                 }
@@ -1003,7 +978,7 @@ impl<'m> IiSearchDriver<'m> {
             }
         }
 
-        if self.check_registers && matches!(self.register_mode, RegisterCheckMode::WholeSchedule) {
+        if !per_placement {
             let lifetimes = LifetimeMap::new(graph, &sched, self.machine);
             if lifetimes.max_live_in(0) as usize > self.machine.cluster.registers {
                 return Err(AttemptError::Failed(AttemptFailure {
@@ -1324,8 +1299,9 @@ mod tests {
             LatencyModel::table1(),
         );
         let g = saxpy();
-        let relaxed = IiSearchDriver::new(&tiny)
-            .check_registers(false)
+        let mut roomy = tiny.clone();
+        roomy.cluster.registers = 1 << 20;
+        let relaxed = IiSearchDriver::new(&roomy)
             .register_mode(RegisterCheckMode::WholeSchedule)
             .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0; 5]))
             .unwrap();

@@ -257,10 +257,10 @@ pub fn node_sets(graph: &DepGraph) -> Vec<Vec<NodeId>> {
         let mut set: Vec<NodeId> = Vec::new();
         // Path nodes connecting this recurrence with everything covered so far.
         if !covered.is_empty() {
-            let anc_cov = reachable(graph, &covered, Direction::Backward);
-            let desc_cov = reachable(graph, &covered, Direction::Forward);
-            let anc_rec = reachable(graph, &rec.nodes, Direction::Backward);
-            let desc_rec = reachable(graph, &rec.nodes, Direction::Forward);
+            let anc_cov = reachable(graph, &covered, Walk::Ancestors);
+            let desc_cov = reachable(graph, &covered, Walk::Descendants);
+            let anc_rec = reachable(graph, &rec.nodes, Walk::Ancestors);
+            let desc_rec = reachable(graph, &rec.nodes, Walk::Descendants);
             for id in graph.node_ids() {
                 if assigned[id.index()] {
                     continue;
@@ -312,23 +312,24 @@ pub fn node_sets(graph: &DepGraph) -> Vec<Vec<NodeId>> {
     sets
 }
 
-enum Direction {
-    Forward,
-    Backward,
+/// Which way [`reachable`] follows the dependence edges.
+enum Walk {
+    Descendants,
+    Ancestors,
 }
 
-/// Nodes reachable from `seeds` following edges in the given direction (including the
-/// seeds themselves).
-fn reachable(graph: &DepGraph, seeds: &[NodeId], dir: Direction) -> Vec<bool> {
+/// Nodes reachable from `seeds` following edges the given way (including the seeds
+/// themselves).
+fn reachable(graph: &DepGraph, seeds: &[NodeId], walk: Walk) -> Vec<bool> {
     let mut seen = vec![false; graph.n_nodes()];
     let mut stack: Vec<NodeId> = seeds.to_vec();
     for s in seeds {
         seen[s.index()] = true;
     }
     while let Some(v) = stack.pop() {
-        let next: Vec<NodeId> = match dir {
-            Direction::Forward => graph.successors(v).collect(),
-            Direction::Backward => graph.predecessors(v).collect(),
+        let next: Vec<NodeId> = match walk {
+            Walk::Descendants => graph.successors(v).collect(),
+            Walk::Ancestors => graph.predecessors(v).collect(),
         };
         for n in next {
             if !seen[n.index()] {

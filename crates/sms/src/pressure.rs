@@ -22,8 +22,9 @@
 //! identically to a from-scratch [`crate::lifetime::LifetimeMap`].
 //!
 //! The tracker is a pure optimization: debug builds cross-check every answer
-//! against a freshly built `LifetimeMap`, and the engine's `incremental(false)`
-//! escape hatch swaps the full rebuild back in (property-tested byte-identical).
+//! against a freshly built `LifetimeMap`, and the schedules it admits are
+//! property-tested against the independent `vliw_lint` certifier and liveness
+//! analysis.
 
 use crate::lifetime::{apply_range_rows, push_producer_ranges, LiveRange};
 use crate::schedule::ModuloSchedule;
@@ -96,7 +97,9 @@ impl PressureTracker {
     /// Re-arm for a fresh (empty) scheduling attempt at `ii`.
     pub fn reset(&mut self, machine: &MachineConfig, n_nodes: usize, ii: u32) {
         self.ii = ii;
-        self.registers = machine.cluster.registers as u32;
+        // Pressure counts are `u32`, so a register file at least that large can
+        // never overflow: saturate instead of truncating.
+        self.registers = u32::try_from(machine.cluster.registers).unwrap_or(u32::MAX);
         self.pressure.clear();
         self.pressure.resize(machine.n_clusters * ii as usize, 0);
         self.overflow = 0;
@@ -390,6 +393,42 @@ mod tests {
             );
         }
         assert_eq!(tracker.overflow, 0);
+    }
+
+    /// A register file too large for `u32` (still a valid machine) must never
+    /// report an overflow: the count saturates instead of wrapping to zero.
+    #[test]
+    fn huge_register_files_saturate_instead_of_truncating() {
+        let mut machine = MachineConfig::two_cluster(1, 1);
+        machine.cluster.registers = 1 << 32;
+        assert!(machine.validate().is_ok());
+        let pool = ResourcePool::new(&machine);
+        let mut g = DepGraph::new("huge");
+        let a = g.add_node(OpClass::Load);
+        let b = g.add_node(OpClass::FpAdd);
+        g.add_edge(a, b, 2, 0, DepKind::Flow);
+
+        let ii = 2;
+        let mut sched = ModuloSchedule::new("huge", g.n_nodes(), ii, 1);
+        let mut tracker = PressureTracker::new();
+        tracker.reset(&machine, g.n_nodes(), ii);
+        sched.place(PlacedOp {
+            node: a,
+            cycle: 0,
+            cluster: 0,
+            fu: pool.fus(0, FuKind::Mem).next().unwrap(),
+        });
+        tracker.commit(&g, &sched, a);
+        sched.place(PlacedOp {
+            node: b,
+            cycle: 2,
+            cluster: 0,
+            fu: pool.fus(0, FuKind::Fp).next().unwrap(),
+        });
+        let got = tracker.evaluate(&g, &sched, b, 0);
+        let lt = LifetimeMap::new(&g, &sched, &machine);
+        assert_eq!(got, (lt.fits(&machine), lt.max_live_in(0)));
+        assert!(got.0);
     }
 
     /// evaluate() must leave the committed state untouched even when the trial

@@ -34,18 +34,13 @@ impl ClusterPolicy for UnifiedPolicy {
 }
 
 /// Swing Modulo Scheduler for a unified (single-cluster) VLIW machine.
+///
+/// Register pressure is always checked against the register file size: the paper
+/// generates no spill code, so a schedule that exceeds the file is retried at a
+/// larger II.
 #[derive(Debug, Clone)]
 pub struct SmsScheduler {
     machine: MachineConfig,
-    /// Whether register pressure is checked against the register file size (the paper
-    /// generates no spill code; a schedule that exceeds the file is retried at a larger
-    /// II).  On by default.
-    pub check_registers: bool,
-    /// Use the engine's incremental register-pressure tracker (on by default).  The
-    /// unified scheduler checks registers in `WholeSchedule` mode, where the tracker
-    /// is bypassed, but the toggle is kept for API symmetry with the cluster
-    /// schedulers and the equivalence property tests.
-    incremental: bool,
 }
 
 impl SmsScheduler {
@@ -56,17 +51,7 @@ impl SmsScheduler {
     pub fn new(machine: &MachineConfig) -> Self {
         Self {
             machine: machine.clone(),
-            check_registers: true,
-            incremental: true,
         }
-    }
-
-    /// Toggle the engine's incremental register-pressure tracking (used by the
-    /// equivalence property tests; results are identical either way).
-    #[must_use]
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
     }
 
     /// The machine this scheduler targets.
@@ -83,9 +68,7 @@ impl SmsScheduler {
     /// [`crate::engine::ScheduleDiagnostics`].
     pub fn schedule_diag(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
         IiSearchDriver::new(&self.machine)
-            .check_registers(self.check_registers)
             .register_mode(RegisterCheckMode::WholeSchedule)
-            .incremental(self.incremental)
             .schedule(graph, &mut UnifiedPolicy)
     }
 }
@@ -238,10 +221,10 @@ mod tests {
             vliw_arch::LatencyModel::table1(),
         );
         let g = saxpy();
-        let mut strict = SmsScheduler::new(&tiny);
-        strict.check_registers = true;
-        let mut relaxed = SmsScheduler::new(&tiny);
-        relaxed.check_registers = false;
+        let strict = SmsScheduler::new(&tiny);
+        let mut roomy = tiny.clone();
+        roomy.cluster.registers = 1 << 20;
+        let relaxed = SmsScheduler::new(&roomy);
         let relaxed_sched = relaxed.schedule(&g).unwrap();
         match strict.schedule(&g) {
             Ok(s) => assert!(s.ii() >= relaxed_sched.ii()),

@@ -1,70 +1,22 @@
 //! Property test of the engine's incremental II search: for every policy, on random
-//! machines and random loops, the incremental register-pressure tracker must produce
-//! **byte-identical** results to the from-scratch search — the same schedules, the
-//! same [`vliw_sms::ScheduleDiagnostics`] (including the II trajectory of every
-//! retry) and the same fuel receipts.  The incremental path is a pure optimization;
-//! any observable difference is a bug.
+//! machines and random loops, the schedules the incremental register-pressure
+//! tracker admits must pass the independent static analyses of `vliw_lint` — the
+//! [`vliw_lint::Certifier`] accepts them and [`vliw_lint::ModuloLiveness`]
+//! re-derives exactly the `MaxLive` the engine reports — and a fuel budget may only
+//! add a receipt to a search it lets finish, never change it.
 //!
 //! The sampled machine space includes harsh configurations (tiny register files,
 //! saturated buses), so the cases exercise deep II retry chains, ordering fallbacks
 //! and register-limited failures, not just first-try successes.  In debug builds the
 //! engine additionally cross-checks the tracker against a full `LifetimeMap` on
-//! every probe, so a divergence would also pinpoint the exact placement.
+//! every probe, so a divergence would pinpoint the exact placement.
 
-use cvliw_core::{BsaScheduler, LoadBalancedScheduler, NeScheduler, RoundRobinScheduler};
-use vliw_arch::{MachineConfig, MachineSpace};
-use vliw_ddg::DepGraph;
-use vliw_sms::{FuelBudget, ScheduleError, ScheduledLoop, SmsScheduler};
-use vliw_verify::generate_case;
-
-type Outcome = Result<ScheduledLoop, ScheduleError>;
-
-/// Schedule `graph` under one policy twice — incremental tracker on and off — and
-/// return both outcomes.
-fn both_modes(label: &str, machine: &MachineConfig, graph: &DepGraph) -> (Outcome, Outcome) {
-    match label {
-        "unified-sms" => {
-            let target = if machine.is_clustered() {
-                machine.unified_counterpart()
-            } else {
-                machine.clone()
-            };
-            (
-                SmsScheduler::new(&target).schedule_diag(graph),
-                SmsScheduler::new(&target)
-                    .incremental(false)
-                    .schedule_diag(graph),
-            )
-        }
-        "bsa" => (
-            BsaScheduler::new(machine).schedule_diag(graph),
-            BsaScheduler::new(machine)
-                .incremental(false)
-                .schedule_diag(graph),
-        ),
-        "ne" => (
-            NeScheduler::new(machine).schedule_diag(graph),
-            NeScheduler::new(machine)
-                .incremental(false)
-                .schedule_diag(graph),
-        ),
-        "round-robin" => (
-            RoundRobinScheduler::new(machine).schedule_diag(graph),
-            RoundRobinScheduler::new(machine)
-                .incremental(false)
-                .schedule_diag(graph),
-        ),
-        "load-balanced" => (
-            LoadBalancedScheduler::new(machine).schedule_diag(graph),
-            LoadBalancedScheduler::new(machine)
-                .incremental(false)
-                .schedule_diag(graph),
-        ),
-        other => unreachable!("unknown policy {other}"),
-    }
-}
-
-const POLICIES: [&str; 5] = ["unified-sms", "bsa", "ne", "round-robin", "load-balanced"];
+use cvliw_core::BsaScheduler;
+use vliw_arch::MachineSpace;
+use vliw_lint::{Certifier, ModuloLiveness};
+use vliw_sim::verification_iterations;
+use vliw_sms::{FuelBudget, ScheduleError};
+use vliw_verify::{generate_case, Policy};
 
 #[test]
 fn incremental_search_is_byte_identical_across_policies() {
@@ -73,17 +25,30 @@ fn incremental_search_is_byte_identical_across_policies() {
     let mut retried = 0usize;
     for index in 0..24 {
         let case = generate_case(0xE9_01, index, &space);
-        for label in POLICIES {
-            let (on, off) = both_modes(label, &case.machine, &case.graph);
-            assert_eq!(
-                on, off,
-                "incremental vs from-scratch diverged: case {index}, policy {label}"
+        for policy in Policy::ALL {
+            let label = policy.label();
+            let Ok(out) = policy.schedule(&case.machine, &case.graph) else {
+                continue;
+            };
+            let target = policy.target_machine(&case.machine);
+            let report = Certifier::new(&target).check(
+                &case.graph,
+                &out.schedule,
+                verification_iterations(&case.graph),
             );
-            if let Ok(out) = &on {
-                scheduled += 1;
-                if !out.diagnostics.ii_trajectory.is_empty() {
-                    retried += 1;
-                }
+            assert!(
+                report.is_certified(),
+                "case {index}, policy {label}: schedule not certified: {:?}",
+                report.deny_ids()
+            );
+            assert_eq!(
+                ModuloLiveness::new(&case.graph, &out.schedule, &target).max_live(),
+                out.diagnostics.max_live_per_cluster,
+                "case {index}, policy {label}: static MaxLive diverged from the diagnostics"
+            );
+            scheduled += 1;
+            if !out.diagnostics.ii_trajectory.is_empty() {
+                retried += 1;
             }
         }
     }
@@ -100,25 +65,23 @@ fn incremental_search_preserves_fuel_receipts() {
     let mut receipts = 0usize;
     for index in 0..24 {
         let case = generate_case(0xF0E1, index, &space);
+        let unbudgeted = BsaScheduler::new(&case.machine).schedule_diag(&case.graph);
         // A tight budget so some searches exhaust mid-II (the receipt then records
         // the partial spend) and the rest finish with a full receipt.
         for probes in [400u64, 1 << 40] {
-            let on = BsaScheduler::new(&case.machine)
+            let budgeted = BsaScheduler::new(&case.machine)
                 .with_fuel(FuelBudget::probes(probes))
                 .schedule_diag(&case.graph);
-            let off = BsaScheduler::new(&case.machine)
-                .with_fuel(FuelBudget::probes(probes))
-                .incremental(false)
-                .schedule_diag(&case.graph);
-            assert_eq!(
-                on, off,
-                "fuel receipts diverged: case {index}, budget {probes}"
-            );
-            match &on {
-                Ok(out) => {
+            match budgeted {
+                Ok(mut out) => {
                     assert!(
-                        out.diagnostics.fuel.is_some(),
+                        out.diagnostics.fuel.take().is_some(),
                         "budgeted run lost its receipt"
+                    );
+                    assert_eq!(
+                        Ok(out),
+                        unbudgeted,
+                        "budget changed a finished search: case {index}, budget {probes}"
                     );
                     receipts += 1;
                 }
