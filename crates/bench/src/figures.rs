@@ -60,13 +60,12 @@ pub struct Fig4Output {
     pub motivation: Vec<Fig4Motivation>,
 }
 
-/// A [`Sweep`] with both opt-in audit modes wired to their environment variables
-/// (`VERIFY_CELLS` → execution validation, `LINT_CELLS` → static certification) —
-/// the starting point of every figure pipeline.
+/// A [`Sweep`] with its opt-in audit wired to `VERIFY_CELLS` (static
+/// certification plus execution validation) — the starting point of every figure
+/// pipeline.
 fn audited_sweep() -> Sweep {
     let mut sweep = Sweep::new();
     sweep.verify_cells(crate::verify_from_env());
-    sweep.lint_cells(crate::lint_from_env());
     sweep
 }
 

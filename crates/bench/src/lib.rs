@@ -198,11 +198,11 @@ pub fn run_corpus(
     algorithm: Algorithm,
     policy: UnrollPolicy,
 ) -> CorpusResult {
-    run_corpus_impl(corpus, machine, algorithm, policy, false, false)
+    run_corpus_audited(corpus, machine, algorithm, policy, false)
 }
 
 /// [`run_corpus`], with every produced schedule differentially audited by
-/// [`vliw_sim::check_schedule`] — static validation, cycle-level replay and the
+/// [`vliw_sim::check_schedule`] — static certification, cycle-level replay and the
 /// closed-form cycle cross-checks.  Panics with a full description on the first
 /// failing loop — including a loop the scheduler cannot schedule at all, which a
 /// plain run only counts in `failed_loops` — so an execution-validated pipeline is
@@ -215,33 +215,18 @@ pub fn run_corpus_verified(
     algorithm: Algorithm,
     policy: UnrollPolicy,
 ) -> CorpusResult {
-    run_corpus_impl(corpus, machine, algorithm, policy, true, false)
+    run_corpus_audited(corpus, machine, algorithm, policy, true)
 }
 
-/// [`run_corpus`] with the audit modes selected by flags: `verify` replays every
-/// schedule through `vliw_sim`'s differential oracle ([`run_corpus_verified`]);
-/// `lint` certifies every schedule with `vliw_lint`'s static certifier and panics
-/// on the first deny-level diagnostic.  Both audits only observe, so the corpus
-/// result is identical in every mode; [`sweep::Sweep`] routes its `VERIFY_CELLS` /
-/// `LINT_CELLS` opt-ins through here.
+/// [`run_corpus`], or [`run_corpus_verified`] when `verify` is set: the audit
+/// only observes, so the corpus result is identical either way.  [`sweep::Sweep`]
+/// routes its `VERIFY_CELLS` opt-in through here.
 pub fn run_corpus_audited(
     corpus: &LoopCorpus,
     machine: &MachineConfig,
     algorithm: Algorithm,
     policy: UnrollPolicy,
     verify: bool,
-    lint: bool,
-) -> CorpusResult {
-    run_corpus_impl(corpus, machine, algorithm, policy, verify, lint)
-}
-
-fn run_corpus_impl(
-    corpus: &LoopCorpus,
-    machine: &MachineConfig,
-    algorithm: Algorithm,
-    policy: UnrollPolicy,
-    verify: bool,
-    lint: bool,
 ) -> CorpusResult {
     let code_model = CodeSizeModel::new(machine);
     type PerLoop = (LoopContribution, CodeSizeReport, bool, ScheduleDiagnostics);
@@ -305,41 +290,6 @@ fn run_corpus_impl(
                         algorithm,
                         policy.label(),
                         report.findings
-                    );
-                }
-            }
-            if lint {
-                // The static counterpart of the execution audit above: certify the
-                // produced kernel (and the exact-unroll remainder) with the lint
-                // framework's deny-level invariants, no replay involved.
-                let report = vliw_lint::Certifier::new(machine).check(
-                    &cs.scheduled_graph,
-                    &cs.schedule,
-                    vliw_sim::verification_iterations(&cs.scheduled_graph),
-                );
-                assert!(
-                    report.is_certified(),
-                    "lint_cells: loop {} on {} ({:?}, policy {}): {:?}",
-                    cs.scheduled_graph.name,
-                    machine,
-                    algorithm,
-                    policy.label(),
-                    report.diagnostics
-                );
-                if let Some(rem) = &cs.remainder {
-                    let report = vliw_lint::Certifier::new(machine).check(
-                        graph,
-                        &rem.schedule,
-                        vliw_sim::verification_iterations(graph),
-                    );
-                    assert!(
-                        report.is_certified(),
-                        "lint_cells: remainder epilogue of loop {} on {} ({:?}, policy {}): {:?}",
-                        graph.name,
-                        machine,
-                        algorithm,
-                        policy.label(),
-                        report.diagnostics
                     );
                 }
             }
@@ -413,16 +363,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::p
 /// figure with every schedule of every cell audited by the differential oracle.
 pub fn verify_from_env() -> bool {
     std::env::var("VERIFY_CELLS").is_ok_and(|v| v != "0")
-}
-
-/// Whether figure pipelines should run statically certified, from the `LINT_CELLS`
-/// environment variable (set it to anything but `0`) — the static mirror of
-/// [`verify_from_env`].  Every figure pipeline feeds this into
-/// [`sweep::Sweep::lint_cells`], so `LINT_CELLS=1 cargo run --release -p vliw-bench
-/// --bin fig9` reproduces the figure with every schedule of every cell certified by
-/// `vliw_lint` — no replay, just the dataflow proofs.
-pub fn lint_from_env() -> bool {
-    std::env::var("LINT_CELLS").is_ok_and(|v| v != "0")
 }
 
 /// The standard corpus used by all experiment binaries, optionally shrunk by the

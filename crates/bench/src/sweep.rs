@@ -25,7 +25,7 @@
 //!
 //! [`Sweep::verify_cells`] opts a sweep into **execution validation**: every
 //! schedule of every cell is additionally audited by `vliw_sim`'s differential
-//! oracle (static validation, cycle-level replay, closed-form cycle cross-checks),
+//! oracle (static certification, cycle-level replay, closed-form cycle cross-checks),
 //! turning any figure pipeline into an execution-validated experiment at the cost of
 //! a bounded per-loop replay.  The audit only observes, so validated outputs remain
 //! byte-identical; a violation aborts the run with the offending loop and machine.
@@ -91,7 +91,6 @@ pub type SweepJob = (MachineConfig, Algorithm, UnrollPolicy);
 pub struct Sweep {
     cells: Vec<CellSpec>,
     verify: bool,
-    lint: bool,
 }
 
 impl Sweep {
@@ -102,7 +101,7 @@ impl Sweep {
 
     /// Opt this sweep into execution validation: every schedule of every `(job,
     /// corpus)` pair is audited by the differential oracle of `vliw_sim` (static
-    /// validation, cycle-level replay, closed-form cycle cross-checks) and the run
+    /// certification, cycle-level replay, closed-form cycle cross-checks) and the run
     /// panics on the first failing loop.  Off by default — validation replays every
     /// loop in the simulator, and the figure outputs are byte-identical either way
     /// (the audit only observes).  The figure pipelines wire this to the
@@ -115,24 +114,6 @@ impl Sweep {
     /// Whether execution validation is enabled.
     pub fn is_verified(&self) -> bool {
         self.verify
-    }
-
-    /// Opt this sweep into **static certification** — the static mirror of
-    /// [`Sweep::verify_cells`]: every schedule of every `(job, corpus)` pair is
-    /// checked by `vliw_lint`'s deny-level certifier (dependences, resource
-    /// conflicts, register pressure, the `NCYCLES` window and the code-size clamp,
-    /// all proven without replaying a cycle) and the run panics on the first
-    /// uncertified schedule.  Off by default; the figure pipelines wire this to the
-    /// `LINT_CELLS` environment variable via [`crate::lint_from_env`].  The audit
-    /// only observes, so outputs stay byte-identical.
-    pub fn lint_cells(&mut self, on: bool) -> &mut Self {
-        self.lint = on;
-        self
-    }
-
-    /// Whether static certification is enabled.
-    pub fn is_linted(&self) -> bool {
-        self.lint
     }
 
     /// Declare a cell with no baseline.
@@ -220,7 +201,7 @@ impl Sweep {
         let pairs: Vec<(usize, usize)> = (0..jobs.len())
             .flat_map(|j| (0..corpora.len()).map(move |c| (j, c)))
             .collect();
-        let (verify, lint) = (self.verify, self.lint);
+        let verify = self.verify;
         let flat: Vec<Arc<CorpusResult>> = pairs
             .par_iter()
             .map(|&(j, c)| {
@@ -231,7 +212,6 @@ impl Sweep {
                     *algorithm,
                     *policy,
                     verify,
-                    lint,
                 ))
             })
             .collect();
@@ -456,11 +436,11 @@ mod tests {
         let mut plain = Sweep::new();
         let id = declare(&mut plain);
         let mut linted = Sweep::new();
-        linted.lint_cells(true);
-        assert!(linted.is_linted());
+        linted.verify_cells(true);
         let lid = declare(&mut linted);
-        // The static certifier only observes: a linted run must neither change a
-        // number nor panic on schedules the engine actually produces.
+        // A verified run certifies every schedule with the static certifier, which
+        // only observes: it must neither change a number nor panic on schedules the
+        // engine actually produces.
         let a = plain.run(&corpora);
         let b = linted.run(&corpora);
         for (x, y) in a.cell(id).iter().zip(b.cell(lid)) {

@@ -1,19 +1,18 @@
 //! The static schedule certifier.
 //!
-//! [`Certifier::check`] proves, without executing anything, the same four
-//! invariants the dynamic verifier establishes by replay — and must *agree* with
-//! it: the fuzz campaign treats any static-pass/dynamic-fail (or the reverse) as a
-//! hard violation.  That contract pins the arithmetic here to
-//! `vliw_sim::ScheduleValidator` exactly:
+//! [`Certifier::check`] is the repository's one static legality checker: it
+//! proves, without executing anything, the invariants the `vliw_sim` replay
+//! establishes by execution.  `vliw_sim::check_schedule` runs it next to that
+//! replay and reports every deny diagnostic as a `StaticViolation`:
 //!
 //! * **dependence legality** — per-edge slack `t_dst + d·II − (t_src + latency)`,
 //!   with cross-cluster value edges routed through the earliest bus-transfer
-//!   instance `start + k·II` that does not start before the value exists (and the
-//!   validator's early return on unscheduled nodes, self-edge skip included);
+//!   instance `start + k·II` that does not start before the value exists (after
+//!   an early return on unscheduled nodes; self edges are skipped);
 //! * **MRT/bus conflict freedom** — at most one reservation per `(resource, row)`;
 //! * **register-pressure bounds** — per-cluster MaxLive vs the register file, via
-//!   [`ModuloLiveness`]'s independent fold (property-tested equal to the
-//!   `LifetimeMap` numbers the validator uses);
+//!   [`ModuloLiveness`]'s fold, written independently of the scheduler's
+//!   `LifetimeMap` (and property-tested equal to it);
 //! * **`NCYCLES` window** — the dynamic `IpcModelDrift` check against the
 //!   closed-form makespan, which equals the replayed makespan whenever the replay
 //!   is clean.
@@ -64,6 +63,11 @@ impl Certifier {
         }
     }
 
+    /// The machine this certifier checks schedules against.
+    pub fn machine(&self) -> &MachineConfig {
+        &self.machine
+    }
+
     /// Attach an optimality certificate from [`crate::optimal::OptimalSolver`].
     /// When the certified loop matches the schedule under check, the heuristic
     /// `ii-slack` warning is upgraded to `certified-ii-gap`: slack is measured
@@ -104,9 +108,8 @@ impl Certifier {
             }
         };
 
-        // Completeness and placement sanity (mirrors the validator's first pass,
-        // including its early return: nothing else is provable about a schedule
-        // with holes in it).
+        // Completeness and placement sanity, with an early return: nothing else is
+        // provable about a schedule with holes in it.
         let mut incomplete = false;
         for node in graph.nodes() {
             match sched.placement(node.id) {
@@ -236,8 +239,7 @@ impl Certifier {
             }
         }
 
-        // Reservation-table conflict freedom (BTreeMaps for deterministic output;
-        // the counting is the validator's).
+        // Reservation-table conflict freedom (BTreeMaps for deterministic output).
         let mut fu_rows: BTreeMap<(usize, i64), usize> = BTreeMap::new();
         for p in sched.placements() {
             *fu_rows.entry((p.fu.0, p.cycle.rem_euclid(ii))).or_insert(0) += 1;

@@ -19,9 +19,9 @@
 //!   certificates bound how far a schedule's II sits from the true optimum;
 //! * [`reportio`] — the report-writing/exit-code tail shared by the gate bins.
 //!
-//! The certifier is wired into `vliw-verify` as a fifth, *static* oracle
-//! (cross-checked against the dynamic four on every fuzz case) and into
-//! `vliw_bench::Sweep` as the `LINT_CELLS=1` audit mode; the `lint` binary audits
+//! The certifier is the static half of `vliw_sim::check_schedule`, so every
+//! fuzz case of `vliw-verify` and every `VERIFY_CELLS=1` figure cell of
+//! `vliw_bench::Sweep` is certified next to its replay; the `lint` binary audits
 //! every schedule behind the committed figure artifacts into
 //! `results/lint_report.json`.
 

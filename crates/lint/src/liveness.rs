@@ -9,9 +9,8 @@
 //!    rows* — `row = (start + k) mod II` for each covered cycle `k` — instead of
 //!    `LifetimeMap`'s closed-form full-wraps-plus-split-remainder arithmetic.  The
 //!    two folds must agree bit for bit on `MaxLive`; the certifier's
-//!    register-pressure lint uses *this* fold, so the dynamic validator
-//!    (`LifetimeMap`-based) and the static certifier check the same invariant
-//!    through different arithmetic.
+//!    register-pressure lint uses *this* fold, so it checks the scheduler's
+//!    (`LifetimeMap`-based) register constraint through different arithmetic.
 //!
 //! 2. **Dataflow live sets.**  A backward [`KernelAnalysis`] per cluster (gen at a
 //!    value's last-read row, kill at its definition row) solved to fixpoint across

@@ -1,13 +1,13 @@
 //! Closed-form makespan and `NCYCLES` derivation, recomputed from the placements.
 //!
 //! The dynamic verifier cross-checks three cycle models: the replayed makespan, the
-//! closed-form makespan (`vliw_sim::analytic_makespan`) and the paper's IPC
-//! denominator `NCYCLES = (NITER + SC − 1)·II` (`ModuloSchedule::cycles_for`).  The
-//! static certifier cannot replay, but it can re-derive both closed forms from the
-//! raw placements — including the stage count — and prove the same drift window the
-//! dynamic `IpcModelDrift` oracle enforces: on a clean replay the simulated
-//! makespan equals the closed form, so checking the window against the *static*
-//! makespan is exactly the dynamic check, minus the execution.
+//! closed-form [`static_makespan`] and the paper's IPC denominator
+//! `NCYCLES = (NITER + SC − 1)·II` (`ModuloSchedule::cycles_for`).  The static
+//! certifier cannot replay, but it can re-derive both closed forms from the raw
+//! placements — including the stage count — and prove the same drift window
+//! ([`ncycles_drift_ok`]) the dynamic `IpcModelDrift` oracle enforces: on a clean
+//! replay the simulated makespan equals the closed form, so checking the window
+//! against the *static* makespan is exactly the dynamic check, minus the execution.
 
 use vliw_arch::MachineConfig;
 use vliw_ddg::DepGraph;

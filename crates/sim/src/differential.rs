@@ -1,35 +1,38 @@
 //! Differential checking of one scheduled loop.
 //!
-//! The schedulers, the static validator, the cycle-level simulator and the analytic
-//! cycle model are four independent implementations of the same contract.  This
-//! module cross-checks them on one `(machine, graph, schedule)` triple and reports
-//! every disagreement as a serialisable [`Finding`]:
+//! The schedulers, the static certifier, the cycle-level simulator and the analytic
+//! cycle model are independent implementations of the same contract.  This module
+//! cross-checks them on one `(machine, graph, schedule)` triple and reports every
+//! disagreement as a serialisable [`Finding`]:
 //!
-//! 1. **Static audit** — every [`crate::ScheduleValidator`] violation (dependence
-//!    slack, reservation conflicts, missing communications, register overflow);
+//! 1. **Static audit** — every deny diagnostic of [`vliw_lint::Certifier`], the
+//!    repository's one static legality checker (dependence slack, reservation
+//!    conflicts, missing communications, register overflow, the `NCYCLES` window,
+//!    the code-size clamp);
 //! 2. **Execution audit** — every [`crate::KernelSimulator`] error from replaying the
 //!    pipelined loop cycle by cycle;
 //! 3. **Makespan cross-check** — the simulator derives the execution makespan by
-//!    replaying every event of every iteration; [`analytic_makespan`] derives the
+//!    replaying every event of every iteration; [`static_makespan`] derives the
 //!    same quantity in closed form from the schedule and the latency model.  The two
 //!    must agree *exactly* — any drift means the replay and the cycle arithmetic
 //!    have diverged;
 //! 4. **IPC-model consistency** — the analytic `NCYCLES = (NITER + SC − 1)·II` that
 //!    the IPC accounting divides by measures kernel slots, while the simulated
 //!    makespan measures issue-to-completion.  They are provably within a tight
-//!    window of each other: `makespan < NCYCLES + max_latency` and
-//!    `NCYCLES < makespan + 2·II`.  A schedule outside that window would make the
-//!    paper's IPC numbers lie about the executed loop.
+//!    window of each other ([`ncycles_drift_ok`]): `makespan < NCYCLES +
+//!    max_latency` and `NCYCLES < makespan + 2·II`.  A schedule outside that window
+//!    would make the paper's IPC numbers lie about the executed loop.
 //!
 //! The `vliw-verify` fuzzing campaigns run this check over randomly sampled
 //! machines × loops × policies; `vliw_bench::Sweep` runs it over every figure cell
 //! when the opt-in `verify_cells` mode is enabled.
 
 use crate::executor::KernelSimulator;
-use crate::validate::{ScheduleValidator, Violation};
+use crate::validate::static_findings;
 use serde::{Deserialize, Serialize};
 use vliw_arch::MachineConfig;
 use vliw_ddg::DepGraph;
+use vliw_lint::{ncycles_drift_ok, static_makespan, Certifier, LintReport};
 use vliw_sms::ModuloSchedule;
 
 /// Iteration count used by the differential checks when the caller has no opinion:
@@ -42,10 +45,12 @@ pub fn verification_iterations(graph: &DepGraph) -> u64 {
 /// One disagreement between the oracles (see the module docs for the catalogue).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Finding {
-    /// The static validator rejected the schedule.
+    /// The static certifier raised a deny-level diagnostic.
     StaticViolation {
-        /// The violation found.
-        violation: Violation,
+        /// The deny lint's stable id (see `vliw_lint::lints`).
+        lint: String,
+        /// The certifier's description of the defect.
+        message: String,
     },
     /// The cycle-level replay hit an ordering/overlap error.
     ExecutionError {
@@ -56,18 +61,8 @@ pub enum Finding {
     MakespanMismatch {
         /// Cycles measured by the replay.
         simulated: u64,
-        /// Cycles predicted by [`analytic_makespan`].
+        /// Cycles predicted by [`static_makespan`].
         analytic: u64,
-    },
-    /// The static certifier and the dynamic oracles disagree on this schedule: one
-    /// side rejected what the other accepted.  Not produced by [`check_schedule`]
-    /// itself — the `vliw-verify` campaign's fifth (static) oracle records it when
-    /// cross-checking `vliw_lint::Certifier` against the dynamic findings.
-    StaticDynamicDisagreement {
-        /// Deny-level lint ids the static certifier raised (empty = certified).
-        static_denies: Vec<String>,
-        /// Number of findings the dynamic oracles raised.
-        dynamic_findings: usize,
     },
     /// The achieved II sits below the exact solver's certified lower bound (or
     /// the solver proved the loop unschedulable outright) — one of the two
@@ -122,40 +117,6 @@ impl DifferentialReport {
     }
 }
 
-/// The execution makespan of `iterations` iterations, in closed form.
-///
-/// Iteration `i` replays every event of the flat schedule offset by `i·II`, so the
-/// makespan is the per-iteration event span plus `(iterations − 1)·II`: the span runs
-/// from the earliest issue (or transfer start) to the latest completion — an
-/// operation completes `latency` cycles after issue, a transfer occupies its bus
-/// until `start + duration`.  This mirrors [`KernelSimulator::run`]'s event
-/// arithmetic without replaying anything, which is exactly what makes the equality
-/// check in [`check_schedule`] a real cross-validation of the replay loop.
-pub fn analytic_makespan(
-    graph: &DepGraph,
-    sched: &ModuloSchedule,
-    machine: &MachineConfig,
-    iterations: u64,
-) -> u64 {
-    let mut min_event = i64::MAX;
-    let mut max_event = i64::MIN;
-    for p in sched.placements() {
-        let latency = machine.latency(graph.node(p.node).class) as i64;
-        min_event = min_event.min(p.cycle);
-        max_event = max_event.max(p.cycle + latency - 1);
-    }
-    for c in sched.comms() {
-        min_event = min_event.min(c.start_cycle);
-        max_event = max_event.max(c.start_cycle + c.duration as i64 - 1);
-    }
-    if min_event == i64::MAX || iterations == 0 {
-        // No events at all (empty loop body): the simulator reports a 1-cycle run.
-        return 1;
-    }
-    let span = (max_event - min_event + 1) as u64;
-    span + (iterations - 1) * sched.ii() as u64
-}
-
 /// Differentially check one scheduled loop (see the module docs for the four
 /// oracles).  `iterations` must be at least 1; use [`verification_iterations`] for a
 /// sensible default.
@@ -165,10 +126,21 @@ pub fn check_schedule(
     sched: &ModuloSchedule,
     iterations: u64,
 ) -> DifferentialReport {
-    let mut findings = Vec::new();
-    for violation in ScheduleValidator::new(machine).validate(graph, sched) {
-        findings.push(Finding::StaticViolation { violation });
-    }
+    check_schedule_with(&Certifier::new(machine), graph, sched, iterations).0
+}
+
+/// [`check_schedule`] with the caller's certifier (for its machine), also
+/// returning the certifier's full report — warn-level lints included — so a
+/// caller that needs both certifies each schedule once.
+pub fn check_schedule_with(
+    certifier: &Certifier,
+    graph: &DepGraph,
+    sched: &ModuloSchedule,
+    iterations: u64,
+) -> (DifferentialReport, LintReport) {
+    let machine = certifier.machine();
+    let lint = certifier.check(graph, sched, iterations);
+    let mut findings = static_findings(&lint);
     let report = KernelSimulator::new(machine).run(graph, sched, iterations);
     for error in &report.errors {
         findings.push(Finding::ExecutionError {
@@ -176,20 +148,19 @@ pub fn check_schedule(
         });
     }
 
-    let analytic = analytic_makespan(graph, sched, machine, iterations);
     // A replay that already failed reports a truncated cycle count; only cross-check
     // the cycle models when the execution itself was clean.
     if report.is_clean() {
+        let analytic = static_makespan(graph, sched, machine, iterations);
         if report.cycles != analytic {
             findings.push(Finding::MakespanMismatch {
                 simulated: report.cycles,
                 analytic,
             });
         }
-        let ii = sched.ii() as i128;
         let max_latency = machine.latencies.max_latency();
         let drift = report.analytic_cycles as i128 - report.cycles as i128;
-        if !(-(max_latency as i128) < drift && drift < 2 * ii) {
+        if !ncycles_drift_ok(drift, sched.ii(), max_latency) {
             findings.push(Finding::IpcModelDrift {
                 simulated: report.cycles,
                 ncycles: report.analytic_cycles,
@@ -199,7 +170,7 @@ pub fn check_schedule(
         }
     }
 
-    DifferentialReport {
+    let differential = DifferentialReport {
         loop_name: sched.loop_name.clone(),
         machine: machine.name.clone(),
         iterations,
@@ -207,7 +178,8 @@ pub fn check_schedule(
         simulated_cycles: report.cycles,
         ncycles: report.analytic_cycles,
         findings,
-    }
+    };
+    (differential, lint)
 }
 
 #[cfg(test)]
@@ -232,6 +204,35 @@ mod tests {
             .build()
     }
 
+    /// Place `node` at `cycle` on the first `kind` unit of cluster 0.
+    fn place(
+        sched: &mut ModuloSchedule,
+        machine: &MachineConfig,
+        node: u32,
+        cycle: i64,
+        kind: FuKind,
+    ) {
+        let fu = ResourcePool::new(machine).fus(0, kind).next().unwrap();
+        sched.place(PlacedOp {
+            node: vliw_ddg::NodeId(node),
+            cycle,
+            cluster: 0,
+            fu,
+        });
+    }
+
+    /// The deny lint ids among `report`'s findings.
+    fn static_lints(report: &DifferentialReport) -> Vec<&str> {
+        report
+            .findings
+            .iter()
+            .filter_map(|f| match f {
+                Finding::StaticViolation { lint, .. } => Some(lint.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn a_correct_schedule_checks_clean() {
         let machine = MachineConfig::unified();
@@ -244,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn analytic_makespan_matches_the_replay_across_iteration_counts() {
+    fn static_makespan_matches_the_replay_across_iteration_counts() {
         let machine = MachineConfig::unified();
         let g = saxpy();
         let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
@@ -254,43 +255,95 @@ mod tests {
             assert!(replayed.is_clean());
             assert_eq!(
                 replayed.cycles,
-                analytic_makespan(&g, &sched, &machine, iterations),
+                static_makespan(&g, &sched, &machine, iterations),
                 "iterations = {iterations}"
             );
         }
     }
 
     #[test]
+    fn empty_schedules_have_a_one_cycle_makespan() {
+        let machine = MachineConfig::unified();
+        let g = DepGraph::new("empty");
+        let sched = ModuloSchedule::new("empty", 0, 1, 1);
+        assert_eq!(static_makespan(&g, &sched, &machine, 10), 1);
+        // The replay agrees, so no makespan mismatch is reported (the degenerate
+        // NCYCLES = 10 of an empty kernel still drifts outside its window).
+        let report = check_schedule(&machine, &g, &sched, 10);
+        assert_eq!(report.simulated_cycles, 1);
+        assert!(
+            !report.findings.iter().any(|f| matches!(
+                f,
+                Finding::ExecutionError { .. } | Finding::MakespanMismatch { .. }
+            )),
+            "{:?}",
+            report.findings
+        );
+    }
+
+    #[test]
     fn a_dependence_violation_is_reported_as_both_static_and_execution_findings() {
         let machine = MachineConfig::unified();
-        let pool = ResourcePool::new(&machine);
         let mut g = DepGraph::new("broken");
         let a = g.add_node(OpClass::Load);
         let b = g.add_node(OpClass::FpAdd);
         g.add_edge(a, b, 2, 0, DepKind::Flow);
-        let mut sched = vliw_sms::ModuloSchedule::new("broken", 2, 2, 1);
-        sched.place(PlacedOp {
-            node: a,
-            cycle: 0,
-            cluster: 0,
-            fu: pool.fus(0, FuKind::Mem).next().unwrap(),
-        });
-        sched.place(PlacedOp {
-            node: b,
-            cycle: 1, // needs cycle >= 2
-            cluster: 0,
-            fu: pool.fus(0, FuKind::Fp).next().unwrap(),
-        });
+        let mut sched = ModuloSchedule::new("broken", 2, 2, 1);
+        place(&mut sched, &machine, 0, 0, FuKind::Mem);
+        place(&mut sched, &machine, 1, 1, FuKind::Fp); // needs cycle >= 2
         let report = check_schedule(&machine, &g, &sched, 4);
-        assert!(!report.is_clean());
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| matches!(f, Finding::StaticViolation { .. })));
+        assert_eq!(static_lints(&report), ["dependence-violated"]);
         assert!(report
             .findings
             .iter()
             .any(|f| matches!(f, Finding::ExecutionError { .. })));
+    }
+
+    #[test]
+    fn register_overflow_is_detected() {
+        // 20 values live across ~100 cycles at II = 20 overflow a 16-register
+        // cluster; every FU row is distinct, so the replay has nothing to object to.
+        let machine = MachineConfig::four_cluster(1, 1);
+        let mut g = DepGraph::new("pressure");
+        let consumer = g.add_node(OpClass::FpAdd);
+        let mut sched = ModuloSchedule::new("pressure", 21, 20, 1);
+        for i in 0..20 {
+            let p = g.add_node(OpClass::IntAlu);
+            g.add_edge(p, consumer, 1, 0, DepKind::Flow);
+            place(&mut sched, &machine, p.0, i as i64, FuKind::Int);
+        }
+        place(&mut sched, &machine, consumer.0, 100, FuKind::Fp);
+        let report = check_schedule(&machine, &g, &sched, 4);
+        assert_eq!(static_lints(&report), ["register-pressure"]);
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    }
+
+    #[test]
+    fn wrong_fu_kind_is_detected() {
+        let machine = MachineConfig::unified();
+        let mut g = DepGraph::new("kind");
+        g.add_node(OpClass::FpMul);
+        let mut sched = ModuloSchedule::new("kind", 1, 1, 1);
+        place(&mut sched, &machine, 0, 0, FuKind::Int);
+        let report = check_schedule(&machine, &g, &sched, 4);
+        assert_eq!(static_lints(&report), ["bad-placement"]);
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    }
+
+    #[test]
+    fn a_schedule_sized_for_a_smaller_graph_is_reported_not_a_panic() {
+        let machine = MachineConfig::unified();
+        let mut g = DepGraph::new("mismatch");
+        let a = g.add_node(OpClass::Load);
+        let b = g.add_node(OpClass::FpAdd);
+        let c = g.add_node(OpClass::Store);
+        g.add_edge(a, b, 2, 0, DepKind::Flow);
+        g.add_edge(b, c, 3, 0, DepKind::Flow);
+        let mut sched = ModuloSchedule::new("mismatch", 2, 2, 1);
+        place(&mut sched, &machine, 0, 0, FuKind::Mem);
+        place(&mut sched, &machine, 1, 2, FuKind::Fp);
+        let report = check_schedule(&machine, &g, &sched, 4);
+        assert!(static_lints(&report).contains(&"unscheduled-node"));
     }
 
     #[test]
@@ -302,13 +355,5 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: DifferentialReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
-    }
-
-    #[test]
-    fn empty_schedules_have_a_one_cycle_makespan() {
-        let machine = MachineConfig::unified();
-        let g = DepGraph::new("empty");
-        let sched = vliw_sms::ModuloSchedule::new("empty", 0, 1, 1);
-        assert_eq!(analytic_makespan(&g, &sched, &machine, 10), 1);
     }
 }

@@ -3,17 +3,15 @@
 //! The schedulers in this repository produce [`vliw_sms::ModuloSchedule`]s; this crate
 //! is the executable oracle that checks them:
 //!
-//! * [`validate::ScheduleValidator`] statically audits a schedule against the
-//!   dependence graph and the machine description — dependence distances (including
-//!   the bus latency of inter-cluster values), functional-unit and bus reservation
-//!   conflicts, missing communications, register-file capacity;
 //! * [`executor::KernelSimulator`] replays the software-pipelined loop cycle by cycle
 //!   for a configurable number of iterations, verifying at *execution* time that every
 //!   operand has actually been produced (and transported) before it is consumed, and
 //!   reporting cycle counts, functional-unit utilisation and bus traffic;
-//! * [`differential::check_schedule`] combines the two with closed-form cycle
-//!   cross-checks into one differential audit of a scheduled loop: the simulated
-//!   makespan must equal [`differential::analytic_makespan`] exactly, and the
+//! * [`differential::check_schedule`] runs that replay next to the static
+//!   [`vliw_lint::Certifier`] (dependence distances including bus latency, FU and bus
+//!   reservation conflicts, missing communications, register-file capacity) and the
+//!   closed-form cycle cross-checks, as one differential audit of a scheduled loop:
+//!   the simulated makespan must equal [`vliw_lint::static_makespan`] exactly, and the
 //!   analytic `NCYCLES = (NITER + SC − 1)·II` used by the IPC accounting must sit
 //!   within its provable window of the measured makespan.  The fuzzing campaigns of
 //!   `vliw-verify` and the `verify_cells` mode of `vliw_bench::Sweep` are built on
@@ -25,10 +23,9 @@
 
 pub mod differential;
 pub mod executor;
-pub mod validate;
+mod validate;
 
 pub use differential::{
-    analytic_makespan, check_schedule, verification_iterations, DifferentialReport, Finding,
+    check_schedule, check_schedule_with, verification_iterations, DifferentialReport, Finding,
 };
 pub use executor::{KernelSimulator, SimulationReport};
-pub use validate::{ScheduleValidator, Violation};

@@ -1,258 +1,32 @@
-//! Static schedule validation.
+//! The static half of the differential audit.
+//!
+//! [`vliw_lint::Certifier`] is the repository's one static legality checker.  This
+//! module turns its deny diagnostics into [`Finding::StaticViolation`]s, the form in
+//! which [`crate::check_schedule`] reports them next to the replay's findings.
 
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use vliw_arch::{MachineConfig, ResourceKind, ResourcePool};
-use vliw_ddg::DepGraph;
-use vliw_sms::{LifetimeMap, ModuloSchedule};
+use crate::differential::Finding;
+use vliw_lint::{LintReport, Severity};
 
-/// One rule violation found in a schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Violation {
-    /// A node was never placed.
-    UnscheduledNode {
-        /// The node's label.
-        node: String,
-    },
-    /// A dependence edge is not satisfied.
-    DependenceViolated {
-        /// Producer label.
-        src: String,
-        /// Consumer label.
-        dst: String,
-        /// The slack by which the constraint is missed (negative).
-        slack: i64,
-    },
-    /// Two operations use the same functional unit in the same kernel row.
-    FuConflict {
-        /// The resource's display name.
-        resource: String,
-        /// Kernel row of the conflict.
-        row: u32,
-    },
-    /// Two transfers overlap on the same bus.
-    BusConflict {
-        /// The bus's display name.
-        resource: String,
-        /// Kernel row of the conflict.
-        row: u32,
-    },
-    /// A value consumed in another cluster has no recorded communication.
-    MissingCommunication {
-        /// Producer label.
-        src: String,
-        /// Consumer label.
-        dst: String,
-    },
-    /// A cluster needs more registers than its file provides.
-    RegisterOverflow {
-        /// Cluster index.
-        cluster: usize,
-        /// Estimated MaxLive.
-        max_live: u32,
-        /// Register-file capacity.
-        capacity: usize,
-    },
-    /// An operation was placed on a functional unit of the wrong kind or a cluster
-    /// outside the machine.
-    BadPlacement {
-        /// The node's label.
-        node: String,
-        /// Explanation.
-        reason: String,
-    },
-}
-
-/// Static auditor for modulo schedules.
-#[derive(Debug, Clone)]
-pub struct ScheduleValidator {
-    machine: MachineConfig,
-}
-
-impl ScheduleValidator {
-    /// A validator for `machine`.
-    pub fn new(machine: &MachineConfig) -> Self {
-        Self {
-            machine: machine.clone(),
-        }
-    }
-
-    /// Audit `sched` against `graph`; returns every violation found (empty = valid).
-    pub fn validate(&self, graph: &DepGraph, sched: &ModuloSchedule) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        let pool = ResourcePool::new(&self.machine);
-        let ii = sched.ii() as i64;
-
-        // 1. Completeness and placement sanity.
-        for node in graph.nodes() {
-            match sched.placement(node.id) {
-                None => violations.push(Violation::UnscheduledNode { node: node.label() }),
-                Some(p) => {
-                    if p.cluster >= self.machine.n_clusters {
-                        violations.push(Violation::BadPlacement {
-                            node: node.label(),
-                            reason: format!("cluster {} does not exist", p.cluster),
-                        });
-                        continue;
-                    }
-                    match pool.kind(p.fu) {
-                        ResourceKind::Fu { cluster, kind, .. } => {
-                            if cluster != p.cluster {
-                                violations.push(Violation::BadPlacement {
-                                    node: node.label(),
-                                    reason: format!(
-                                        "functional unit belongs to cluster {cluster}, node placed on {}",
-                                        p.cluster
-                                    ),
-                                });
-                            }
-                            if kind != node.class.fu_kind() {
-                                violations.push(Violation::BadPlacement {
-                                    node: node.label(),
-                                    reason: format!(
-                                        "operation of kind {} placed on a {} unit",
-                                        node.class.fu_kind(),
-                                        kind
-                                    ),
-                                });
-                            }
-                        }
-                        ResourceKind::Bus { .. } => violations.push(Violation::BadPlacement {
-                            node: node.label(),
-                            reason: "operation placed on a bus row".to_string(),
-                        }),
-                    }
-                }
-            }
-        }
-        if violations
-            .iter()
-            .any(|v| matches!(v, Violation::UnscheduledNode { .. }))
-        {
-            return violations;
-        }
-
-        // 2. Dependences (cross-cluster flow edges must go through a communication).
-        for e in graph.edges() {
-            // Step 1 returned early on any unplaced *node*, but an edge of a
-            // malformed graph can still name an endpoint the schedule has never
-            // heard of; degrade to a violation instead of panicking mid-audit.
-            let (Some(pu), Some(pv)) = (sched.placement(e.src), sched.placement(e.dst)) else {
-                violations.push(Violation::UnscheduledNode {
-                    node: format!("edge endpoint {} or {}", e.src, e.dst),
-                });
-                continue;
-            };
-            if e.src == e.dst {
-                // Self edges are recurrence constraints on II, already guaranteed by
-                // II >= RecMII; nothing to check per placement.
-                continue;
-            }
-            if e.kind.carries_value() && pu.cluster != pv.cluster {
-                // Find a communication carrying this value to the consumer cluster.
-                // Transfers repeat every II cycles, so a transfer recorded at
-                // `start_cycle` also happens at `start_cycle + k·II` for any k; the
-                // edge is satisfied iff some such instance fits between production
-                // and consumption.
-                let comms: Vec<_> = sched
-                    .comms()
-                    .iter()
-                    .filter(|c| c.src_node == e.src && c.to_cluster == pv.cluster)
-                    .collect();
-                if comms.is_empty() {
-                    violations.push(Violation::MissingCommunication {
-                        src: graph.node(e.src).label(),
-                        dst: graph.node(e.dst).label(),
-                    });
-                } else {
-                    let mut best_slack = i64::MIN;
-                    for c in &comms {
-                        let produced_at = pu.cycle + e.latency as i64;
-                        let consumed_at = pv.cycle + e.distance as i64 * ii;
-                        // Earliest transfer instance (start_cycle + k·II) that does not
-                        // start before the value exists.
-                        let k = (produced_at - c.start_cycle + ii - 1).div_euclid(ii);
-                        let start = c.start_cycle + k * ii;
-                        let slack = consumed_at - (start + c.duration as i64);
-                        best_slack = best_slack.max(slack);
-                    }
-                    if best_slack < 0 {
-                        violations.push(Violation::DependenceViolated {
-                            src: graph.node(e.src).label(),
-                            dst: graph.node(e.dst).label(),
-                            slack: best_slack,
-                        });
-                    }
-                }
-            } else {
-                let slack = pv.cycle + e.distance as i64 * ii - (pu.cycle + e.latency as i64);
-                if slack < 0 {
-                    violations.push(Violation::DependenceViolated {
-                        src: graph.node(e.src).label(),
-                        dst: graph.node(e.dst).label(),
-                        slack,
-                    });
-                }
-            }
-        }
-
-        // 3. Functional-unit and bus conflicts.
-        let mut fu_rows: HashMap<(usize, i64), usize> = HashMap::new();
-        for p in sched.placements() {
-            *fu_rows.entry((p.fu.0, p.cycle.rem_euclid(ii))).or_insert(0) += 1;
-        }
-        for ((fu, row), count) in &fu_rows {
-            if *count > 1 {
-                violations.push(Violation::FuConflict {
-                    resource: pool.kind(vliw_arch::ResourceIndex(*fu)).to_string(),
-                    row: *row as u32,
-                });
-            }
-        }
-        let mut bus_rows: HashMap<(usize, i64), usize> = HashMap::new();
-        for c in sched.comms() {
-            for d in 0..c.duration {
-                *bus_rows
-                    .entry((c.bus.0, (c.start_cycle + d as i64).rem_euclid(ii)))
-                    .or_insert(0) += 1;
-            }
-        }
-        for ((bus, row), count) in &bus_rows {
-            if *count > 1 {
-                violations.push(Violation::BusConflict {
-                    resource: pool.kind(vliw_arch::ResourceIndex(*bus)).to_string(),
-                    row: *row as u32,
-                });
-            }
-        }
-
-        // 4. Register pressure.
-        let lifetimes = LifetimeMap::new(graph, sched, &self.machine);
-        for (cluster, live) in lifetimes.max_live().iter().enumerate() {
-            if *live as usize > self.machine.cluster.registers {
-                violations.push(Violation::RegisterOverflow {
-                    cluster,
-                    max_live: *live,
-                    capacity: self.machine.cluster.registers,
-                });
-            }
-        }
-
-        violations
-    }
-
-    /// Convenience: `true` when [`ScheduleValidator::validate`] finds nothing.
-    pub fn is_valid(&self, graph: &DepGraph, sched: &ModuloSchedule) -> bool {
-        self.validate(graph, sched).is_empty()
-    }
+/// Every deny-level diagnostic of `lint` as a [`Finding::StaticViolation`], in report
+/// order.  Warn-level lints describe schedule quality, not legality, and are skipped.
+pub(crate) fn static_findings(lint: &LintReport) -> Vec<Finding> {
+    lint.diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Deny)
+        .map(|d| Finding::StaticViolation {
+            lint: d.lint.clone(),
+            message: d.message.clone(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vliw_arch::{FuKind, OpClass};
-    use vliw_ddg::{DepKind, GraphBuilder};
-    use vliw_sms::{PlacedOp, SmsScheduler};
+    use vliw_arch::{FuKind, MachineConfig, OpClass, ResourcePool};
+    use vliw_ddg::{DepGraph, DepKind, GraphBuilder};
+    use vliw_lint::Certifier;
+    use vliw_sms::{ModuloSchedule, PlacedOp, SmsScheduler};
 
     fn saxpy() -> DepGraph {
         GraphBuilder::new("saxpy")
@@ -268,157 +42,103 @@ mod tests {
             .build()
     }
 
+    /// Place `node` at `cycle` on the first `kind` unit of `cluster`.
+    fn place(
+        sched: &mut ModuloSchedule,
+        machine: &MachineConfig,
+        node: u32,
+        cycle: i64,
+        cluster: usize,
+        kind: FuKind,
+    ) {
+        let fu = ResourcePool::new(machine)
+            .fus(cluster, kind)
+            .next()
+            .unwrap();
+        sched.place(PlacedOp {
+            node: vliw_ddg::NodeId(node),
+            cycle,
+            cluster,
+            fu,
+        });
+    }
+
+    /// The static findings of certifying `sched` on `machine` over 4 iterations.
+    fn findings(machine: &MachineConfig, g: &DepGraph, sched: &ModuloSchedule) -> Vec<Finding> {
+        static_findings(&Certifier::new(machine).check(g, sched, 4))
+    }
+
+    /// Whether `findings` holds a static violation of `lint`.
+    fn flags(findings: &[Finding], lint: &str) -> bool {
+        findings
+            .iter()
+            .any(|f| matches!(f, Finding::StaticViolation { lint: l, .. } if l == lint))
+    }
+
     #[test]
     fn a_correct_schedule_validates() {
         let machine = MachineConfig::unified();
         let g = saxpy();
         let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
-        let validator = ScheduleValidator::new(&machine);
-        assert!(
-            validator.is_valid(&g, &sched),
-            "{:?}",
-            validator.validate(&g, &sched)
-        );
+        let found = findings(&machine, &g, &sched);
+        assert!(found.is_empty(), "{found:?}");
     }
 
     #[test]
     fn incomplete_schedules_are_flagged() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = vliw_sms::ModuloSchedule::new("saxpy", g.n_nodes(), 2, 1);
-        let v = ScheduleValidator::new(&machine).validate(&g, &sched);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::UnscheduledNode { .. })));
+        let sched = ModuloSchedule::new("saxpy", g.n_nodes(), 2, 1);
+        assert!(flags(&findings(&machine, &g, &sched), "unscheduled-node"));
     }
 
     #[test]
     fn dependence_violations_are_detected() {
         let machine = MachineConfig::unified();
-        let pool = ResourcePool::new(&machine);
         let mut g = DepGraph::new("dep");
         let a = g.add_node(OpClass::Load);
         let b = g.add_node(OpClass::FpAdd);
         g.add_edge(a, b, 2, 0, DepKind::Flow);
-        let mut sched = vliw_sms::ModuloSchedule::new("dep", 2, 2, 1);
-        sched.place(PlacedOp {
-            node: a,
-            cycle: 0,
-            cluster: 0,
-            fu: pool.fus(0, FuKind::Mem).next().unwrap(),
-        });
+        let mut sched = ModuloSchedule::new("dep", 2, 2, 1);
+        place(&mut sched, &machine, a.0, 0, 0, FuKind::Mem);
         // Consumer placed too early (needs cycle >= 2).
-        sched.place(PlacedOp {
-            node: b,
-            cycle: 1,
-            cluster: 0,
-            fu: pool.fus(0, FuKind::Fp).next().unwrap(),
-        });
-        let v = ScheduleValidator::new(&machine).validate(&g, &sched);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::DependenceViolated { slack: -1, .. })));
+        place(&mut sched, &machine, b.0, 1, 0, FuKind::Fp);
+        let found = findings(&machine, &g, &sched);
+        assert!(
+            found.iter().any(|f| matches!(
+                f,
+                Finding::StaticViolation { lint, message }
+                    if lint == "dependence-violated" && message.contains("slack -1")
+            )),
+            "{found:?}"
+        );
     }
 
     #[test]
     fn fu_conflicts_are_detected() {
         let machine = MachineConfig::unified();
-        let pool = ResourcePool::new(&machine);
         let mut g = DepGraph::new("conflict");
         let a = g.add_node(OpClass::Load);
         let b = g.add_node(OpClass::Load);
-        let mut sched = vliw_sms::ModuloSchedule::new("conflict", 2, 2, 1);
-        let fu = pool.fus(0, FuKind::Mem).next().unwrap();
-        sched.place(PlacedOp {
-            node: a,
-            cycle: 0,
-            cluster: 0,
-            fu,
-        });
-        sched.place(PlacedOp {
-            node: b,
-            cycle: 2,
-            cluster: 0,
-            fu,
-        }); // same row mod 2
-        let v = ScheduleValidator::new(&machine).validate(&g, &sched);
-        assert!(v.iter().any(|x| matches!(x, Violation::FuConflict { .. })));
+        let mut sched = ModuloSchedule::new("conflict", 2, 2, 1);
+        place(&mut sched, &machine, a.0, 0, 0, FuKind::Mem);
+        place(&mut sched, &machine, b.0, 2, 0, FuKind::Mem); // same row mod 2
+        assert!(flags(&findings(&machine, &g, &sched), "fu-conflict"));
     }
 
     #[test]
     fn missing_communication_is_detected() {
         let machine = MachineConfig::two_cluster(1, 1);
-        let pool = ResourcePool::new(&machine);
         let mut g = DepGraph::new("comm");
         let a = g.add_node(OpClass::Load);
         let b = g.add_node(OpClass::FpAdd);
         g.add_edge(a, b, 2, 0, DepKind::Flow);
-        let mut sched = vliw_sms::ModuloSchedule::new("comm", 2, 3, 1);
-        sched.place(PlacedOp {
-            node: a,
-            cycle: 0,
-            cluster: 0,
-            fu: pool.fus(0, FuKind::Mem).next().unwrap(),
-        });
-        sched.place(PlacedOp {
-            node: b,
-            cycle: 10,
-            cluster: 1,
-            fu: pool.fus(1, FuKind::Fp).next().unwrap(),
-        });
-        let v = ScheduleValidator::new(&machine).validate(&g, &sched);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::MissingCommunication { .. })));
-    }
-
-    #[test]
-    fn wrong_fu_kind_is_detected() {
-        let machine = MachineConfig::unified();
-        let pool = ResourcePool::new(&machine);
-        let mut g = DepGraph::new("kind");
-        let a = g.add_node(OpClass::FpMul);
-        let mut sched = vliw_sms::ModuloSchedule::new("kind", 1, 1, 1);
-        sched.place(PlacedOp {
-            node: a,
-            cycle: 0,
-            cluster: 0,
-            fu: pool.fus(0, FuKind::Int).next().unwrap(),
-        });
-        let v = ScheduleValidator::new(&machine).validate(&g, &sched);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::BadPlacement { .. })));
-    }
-
-    #[test]
-    fn register_overflow_is_detected() {
-        // 20 long-lived values on a 16-register cluster must be flagged.
-        let machine = MachineConfig::four_cluster(1, 1);
-        let pool = ResourcePool::new(&machine);
-        let mut g = DepGraph::new("pressure");
-        let consumer = g.add_node(OpClass::FpAdd);
-        let mut sched = vliw_sms::ModuloSchedule::new("pressure", 21, 1, 1);
-        for i in 0..20u32 {
-            let p = g.add_node(OpClass::IntAlu);
-            g.add_edge(p, consumer, 1, 0, DepKind::Flow);
-            // Deliberately ignore FU conflicts here; only the register check matters.
-            sched.place(PlacedOp {
-                node: p,
-                cycle: i as i64,
-                cluster: 0,
-                fu: pool.fus(0, FuKind::Int).next().unwrap(),
-            });
-        }
-        sched.place(PlacedOp {
-            node: consumer,
-            cycle: 100,
-            cluster: 0,
-            fu: pool.fus(0, FuKind::Fp).next().unwrap(),
-        });
-        let v = ScheduleValidator::new(&machine).validate(&g, &sched);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::RegisterOverflow { .. })));
+        let mut sched = ModuloSchedule::new("comm", 2, 3, 1);
+        place(&mut sched, &machine, a.0, 0, 0, FuKind::Mem);
+        place(&mut sched, &machine, b.0, 10, 1, FuKind::Fp);
+        assert!(flags(
+            &findings(&machine, &g, &sched),
+            "missing-communication"
+        ));
     }
 }

@@ -218,10 +218,11 @@ impl ModuloSchedule {
         self.comms.len()
     }
 
-    /// The placement of `node`, if it has been scheduled.
+    /// The placement of `node`, if it has been scheduled (`None` also for a node
+    /// beyond the graph this schedule was sized for).
     #[inline]
     pub fn placement(&self, node: NodeId) -> Option<&PlacedOp> {
-        self.ops[node.index()].as_ref()
+        self.ops.get(node.index()).and_then(Option::as_ref)
     }
 
     /// Whether every node has been placed.

@@ -12,7 +12,7 @@
 //! 2. [`oracle`] runs every one of the five scheduling policies (unified SMS, BSA,
 //!    N&E, round-robin, load-balanced) on each pair through the shared engine and
 //!    audits every produced schedule with [`vliw_sim::check_schedule`] — static
-//!    validation, cycle-level replay, and the closed-form cycle cross-checks; every
+//!    certification, cycle-level replay, and the closed-form cycle cross-checks; every
 //!    case additionally draws a sampled unroll factor (2–8) and pushes its
 //!    exactly-unrolled kernel ([`vliw_ddg::unroll_exact`], scheduled with BSA)
 //!    through the same four oracles, so the unroll path is execution-validated too;

@@ -7,8 +7,8 @@ use cvliw_core::{
 use serde::{Deserialize, Serialize};
 use vliw_arch::MachineConfig;
 use vliw_ddg::DepGraph;
-use vliw_lint::{OptCertificate, OptimalSolver};
-use vliw_sim::{check_schedule, verification_iterations, Finding};
+use vliw_lint::{Certifier, OptCertificate, OptimalSolver};
+use vliw_sim::{check_schedule_with, verification_iterations, Finding};
 use vliw_sms::{ScheduleError, ScheduledLoop, SmsScheduler};
 
 /// The five scheduling policies of the repository, all thin strategies on the shared
@@ -88,9 +88,8 @@ pub enum PolicyOutcome {
         mii: u32,
         /// What bounded the II (the engine's diagnosis, as a label).
         limiting: String,
-        /// Every oracle disagreement (empty = verified).  Includes
-        /// [`Finding::StaticDynamicDisagreement`] when the static certifier — the
-        /// fifth oracle — disagrees with the dynamic four about this schedule.
+        /// Every oracle disagreement (empty = verified).  The static certifier's
+        /// deny lints appear as [`Finding::StaticViolation`].
         findings: Vec<Finding>,
         /// Warn-level lint ids the static certifier raised (sorted, deduplicated).
         lint_warnings: Vec<String>,
@@ -217,28 +216,18 @@ pub fn audit_scheduled(
     out: &ScheduledLoop,
     certificate: &OptCertificate,
 ) -> PolicyOutcome {
-    let target = policy.target_machine(machine);
-    let report = check_schedule(
-        &target,
+    // One pass certifies (the static oracle, carrying the optimality certificate
+    // so its warn-level lints measure slack against the solver's bound) and
+    // replays the schedule; deny lints arrive as `StaticViolation` findings.
+    let certifier =
+        Certifier::new(&policy.target_machine(machine)).with_certificate(certificate.clone());
+    let (report, lint) = check_schedule_with(
+        &certifier,
         graph,
         &out.schedule,
         verification_iterations(graph),
     );
     let mut findings = report.findings;
-    // The fifth, *static* oracle: the lint certifier must agree with the
-    // dynamic four on every schedule — it certifies exactly the schedules
-    // they pass.  Any static-pass/dynamic-fail (or vice versa) is itself a
-    // violation, and it shrinks like any other finding.
-    let lint = vliw_lint::Certifier::new(&target)
-        .with_certificate(certificate.clone())
-        .check(graph, &out.schedule, verification_iterations(graph));
-    if lint.is_certified() != findings.is_empty() {
-        let dynamic_findings = findings.len();
-        findings.push(Finding::StaticDynamicDisagreement {
-            static_denies: lint.deny_ids(),
-            dynamic_findings,
-        });
-    }
     // The sixth, *optimality* oracle: an achieved II below the solver's
     // certified lower bound (or any schedule for a loop the solver
     // proved unschedulable) means one of the two is unsound — a hard

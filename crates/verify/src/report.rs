@@ -41,9 +41,9 @@ pub struct Coverage {
     pub limiting_by_policy: BTreeMap<String, u64>,
     /// Histogram over cluster counts of the sampled machines.
     pub cluster_counts: BTreeMap<String, u64>,
-    /// Schedules the static certifier (the fifth oracle) certified.  In a passing
-    /// campaign this equals `schedules_checked + unrolled_schedules_checked`: the
-    /// static and dynamic oracles must agree on every schedule.
+    /// Schedules the static certifier (the fifth oracle) certified: no
+    /// `StaticViolation` finding.  In a passing campaign this equals
+    /// `schedules_checked + unrolled_schedules_checked`.
     pub statically_certified: u64,
     /// Histogram over warn-level lint ids the static certifier raised across all
     /// audited schedules.

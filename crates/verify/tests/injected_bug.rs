@@ -6,13 +6,13 @@
 //! The faulty policy wraps the real BSA policy and silently discards one of the bus
 //! transfers each placement requested.  The engine then neither reserves the bus nor
 //! records the communication, so the produced schedule has a value crossing clusters
-//! with no transfer carrying it — statically a `MissingCommunication`, dynamically an
+//! with no transfer carrying it — statically a `missing-communication` lint, dynamically an
 //! operand that is never available in the consumer's cluster.
 
 use cvliw_core::bsa::BsaPolicy;
 use vliw_arch::MachineConfig;
 use vliw_ddg::{DepGraph, NodeId};
-use vliw_sim::{check_schedule, verification_iterations, Finding, Violation};
+use vliw_sim::{check_schedule, verification_iterations, Finding};
 use vliw_sms::{ClusterPolicy, EngineView, IiSearchDriver, ScheduledLoop, Trial};
 use vliw_verify::{generate_case, shrink_case, ShrunkRepro, ViolationReport};
 use vliw_workloads::{GeneratorProfile, LoopGenerator};
@@ -114,11 +114,9 @@ fn the_injected_bug_is_caught_by_the_differential_oracle() {
     assert!(
         report.findings.iter().any(|f| matches!(
             f,
-            Finding::StaticViolation {
-                violation: Violation::MissingCommunication { .. }
-            }
+            Finding::StaticViolation { lint, .. } if lint == "missing-communication"
         )),
-        "expected a MissingCommunication, got {:?}",
+        "expected a missing-communication, got {:?}",
         report.findings
     );
     assert!(

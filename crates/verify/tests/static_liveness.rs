@@ -6,7 +6,7 @@
 //! machines, random loops and all five scheduling policies of the repository.
 //!
 //! This is the agreement that lets the certifier's `register-pressure` deny lint
-//! stand in for the dynamic validator's `RegisterOverflow` check: same numbers,
+//! check the scheduler's register constraint independently: same numbers,
 //! derived two different ways.
 
 use vliw_lint::ModuloLiveness;

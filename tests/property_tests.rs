@@ -7,8 +7,8 @@ use clustered_vliw::core::{
     BsaScheduler, LoadBalancedScheduler, LoopScheduler, NeScheduler, RoundRobinScheduler,
     SelectiveUnroller, UnrollPolicy,
 };
+use clustered_vliw::lint::Certifier;
 use clustered_vliw::prelude::*;
-use clustered_vliw::sim::ScheduleValidator;
 use proptest::prelude::*;
 use vliw_arch::OpClass;
 use vliw_ddg::{mii, rec_mii, unroll, DepGraph, DepKind};
@@ -81,8 +81,13 @@ fn assert_legal(
     sched: &clustered_vliw::sms::ModuloSchedule,
     machine: &MachineConfig,
 ) {
-    let violations = ScheduleValidator::new(machine).validate(graph, sched);
-    assert!(violations.is_empty(), "violations: {violations:?}");
+    let iterations = vliw_sim::verification_iterations(graph);
+    let report = Certifier::new(machine).check(graph, sched, iterations);
+    assert!(
+        report.is_certified(),
+        "violations: {:?}",
+        report.diagnostics
+    );
 }
 
 proptest! {
@@ -185,7 +190,7 @@ proptest! {
             prop_assert!(sim.is_clean(), "{}: {:?}", scheduler.name(), sim.errors);
             prop_assert_eq!(
                 sim.cycles,
-                vliw_sim::analytic_makespan(&graph, &out.schedule, target, iterations),
+                clustered_vliw::lint::static_makespan(&graph, &out.schedule, target, iterations),
                 "{}: replayed and closed-form makespans diverge", scheduler.name()
             );
             prop_assert_eq!(sim.analytic_cycles, out.schedule.cycles_for(iterations));

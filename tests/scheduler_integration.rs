@@ -1,12 +1,13 @@
 //! Cross-crate integration tests: schedule real kernels and corpus loops on every
-//! machine configuration of the paper with every scheduler, then audit each schedule
-//! with the static validator and replay it in the cycle-level simulator.
+//! machine configuration of the paper with every scheduler, then certify each schedule
+//! with the static certifier and replay it in the cycle-level simulator.
 
 use clustered_vliw::core::{
     BsaScheduler, LoopScheduler, NeScheduler, SelectiveUnroller, UnrollPolicy,
 };
+use clustered_vliw::lint::Certifier;
 use clustered_vliw::prelude::*;
-use clustered_vliw::sim::ScheduleValidator;
+use clustered_vliw::sim::verification_iterations;
 use clustered_vliw::workloads::kernels;
 use vliw_ddg::mii;
 
@@ -38,7 +39,7 @@ fn schedulers_for(machine: &MachineConfig) -> Vec<Box<dyn LoopScheduler>> {
 #[test]
 fn every_kernel_schedules_validates_and_simulates_everywhere() {
     for machine in paper_machines() {
-        let validator = ScheduleValidator::new(&machine);
+        let certifier = Certifier::new(&machine);
         let simulator = KernelSimulator::new(&machine);
         for (name, graph) in kernels::named_kernels() {
             // The BSA scheduler is the paper's contribution; run it on the clustered
@@ -55,11 +56,12 @@ fn every_kernel_schedules_validates_and_simulates_everywhere() {
                 "{name} on {}",
                 machine.name
             );
-            let violations = validator.validate(&graph, &sched);
+            let lint = certifier.check(&graph, &sched, 20);
             assert!(
-                violations.is_empty(),
-                "{name} on {}: {violations:?}",
-                machine.name
+                lint.is_certified(),
+                "{name} on {}: {:?}",
+                machine.name,
+                lint.diagnostics
             );
             let report = simulator.run(&graph, &sched, 20);
             assert!(
@@ -77,7 +79,7 @@ fn every_kernel_schedules_validates_and_simulates_everywhere() {
 fn both_cluster_schedulers_validate_on_a_spec_corpus() {
     let corpus = LoopCorpus::generate(SpecFp95::Su2cor);
     let machine = MachineConfig::four_cluster(2, 2);
-    let validator = ScheduleValidator::new(&machine);
+    let certifier = Certifier::new(&machine);
     for graph in corpus.loops.iter().take(10) {
         for scheduler in schedulers_for(&machine) {
             if scheduler.name() == "unified-sms" {
@@ -87,12 +89,13 @@ fn both_cluster_schedulers_validate_on_a_spec_corpus() {
                 .schedule_loop(graph)
                 .unwrap_or_else(|e| panic!("{} failed on {}: {e}", scheduler.name(), graph.name))
                 .schedule;
-            let violations = validator.validate(graph, &sched);
+            let lint = certifier.check(graph, &sched, verification_iterations(graph));
             assert!(
-                violations.is_empty(),
-                "{} on {}: {violations:?}",
+                lint.is_certified(),
+                "{} on {}: {:?}",
                 scheduler.name(),
-                graph.name
+                graph.name,
+                lint.diagnostics
             );
         }
     }

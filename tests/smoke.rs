@@ -51,9 +51,8 @@ fn bsa_schedule_of_the_paper_example_passes_the_validator_and_simulator() {
     let graph = paper_example_loop();
     let schedule = BsaScheduler::new(&machine).schedule(&graph).unwrap();
 
-    let violations =
-        clustered_vliw::sim::ScheduleValidator::new(&machine).validate(&graph, &schedule);
-    assert!(violations.is_empty(), "violations: {violations:?}");
+    let lint = clustered_vliw::lint::Certifier::new(&machine).check(&graph, &schedule, 16);
+    assert!(lint.is_certified(), "violations: {:?}", lint.diagnostics);
 
     let report = KernelSimulator::new(&machine).run(&graph, &schedule, 16);
     assert!(report.is_clean(), "simulator errors: {:?}", report.errors);
