@@ -38,6 +38,6 @@ pub mod unroll;
 pub use analysis::GraphAnalysis;
 pub use builder::GraphBuilder;
 pub use graph::{DepGraph, DepKind, Edge, EdgeId, Node, NodeId};
-pub use mii::{mii, rec_mii, res_mii};
+pub use mii::{mii, missing_fu_kind, rec_mii, res_mii};
 pub use scc::{recurrences, sccs, Recurrence};
 pub use unroll::{unroll, unroll_exact, unroll_exact_with, UnrollScratch, UnrolledLoop};

@@ -14,26 +14,35 @@
 use crate::graph::{DepGraph, NodeId};
 use vliw_arch::{FuKind, MachineConfig};
 
+/// The first functional-unit kind `graph` uses but `machine` has no unit of, if any.
+/// Such a loop fits no II; schedulers turn it into a typed error before searching.
+pub fn missing_fu_kind(graph: &DepGraph, machine: &MachineConfig) -> Option<FuKind> {
+    let counts = graph.ops_per_fu_kind();
+    FuKind::ALL
+        .into_iter()
+        .find(|&kind| counts[kind.index()] > 0 && machine.total_fus(kind) == 0)
+}
+
 /// Resource-constrained minimum initiation interval for `graph` on `machine`.
 ///
 /// The machine-wide number of units of each kind is used (i.e. cluster boundaries are
 /// ignored); this matches the paper, where the clustered machine is expected to reach
 /// the *same* II as the unified machine whenever communication does not interfere.
+///
+/// # Panics
+///
+/// When the graph uses a unit kind the machine lacks (see [`missing_fu_kind`]).
 pub fn res_mii(graph: &DepGraph, machine: &MachineConfig) -> u32 {
+    if let Some(kind) = missing_fu_kind(graph, machine) {
+        panic!("graph uses {kind} units but the machine has none");
+    }
     let counts = graph.ops_per_fu_kind();
     let mut best = 1u32;
     for kind in FuKind::ALL {
         let ops = counts[kind.index()];
-        let units = machine.total_fus(kind);
-        if ops == 0 {
-            continue;
+        if ops > 0 {
+            best = best.max(ops.div_ceil(machine.total_fus(kind)) as u32);
         }
-        assert!(
-            units > 0,
-            "graph uses {kind} units but the machine has none"
-        );
-        let bound = ops.div_ceil(units) as u32;
-        best = best.max(bound);
     }
     best
 }

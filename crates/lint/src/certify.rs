@@ -12,7 +12,7 @@
 //! * **MRT/bus conflict freedom** — at most one reservation per `(resource, row)`;
 //! * **register-pressure bounds** — per-cluster MaxLive vs the register file, via
 //!   [`ModuloLiveness`]'s fold, written independently of the scheduler's
-//!   `LifetimeMap` (and property-tested equal to it);
+//!   `PressureTracker` (and property-tested equal to its from-scratch fold);
 //! * **`NCYCLES` window** — the dynamic `IpcModelDrift` check against the
 //!   closed-form makespan, which equals the replayed makespan whenever the replay
 //!   is clean.

@@ -1,16 +1,16 @@
 //! Modulo liveness: per-cluster live values and register pressure, recomputed
-//! independently of `vliw_sms::LifetimeMap`.
+//! independently of `vliw_sms::PressureTracker` and its from-scratch fold.
 //!
 //! Two views of the same lifetimes are built here:
 //!
 //! 1. **Intervals + pressure.**  Each value's live ranges (producer-side and
-//!    receiver-side, following the lifetime model documented on `LifetimeMap`) are
+//!    receiver-side, following the lifetime model of `vliw_sms::pressure`) are
 //!    re-derived and folded into per-row pressure counts by *walking the covered
 //!    rows* — `row = (start + k) mod II` for each covered cycle `k` — instead of
-//!    `LifetimeMap`'s closed-form full-wraps-plus-split-remainder arithmetic.  The
+//!    the tracker's closed-form full-wraps-plus-split-remainder arithmetic.  The
 //!    two folds must agree bit for bit on `MaxLive`; the certifier's
 //!    register-pressure lint uses *this* fold, so it checks the scheduler's
-//!    (`LifetimeMap`-based) register constraint through different arithmetic.
+//!    (tracker-based) register constraint through different arithmetic.
 //!
 //! 2. **Dataflow live sets.**  A backward [`KernelAnalysis`] per cluster (gen at a
 //!    value's last-read row, kill at its definition row) solved to fixpoint across
@@ -96,7 +96,7 @@ pub struct ModuloLiveness {
 
 impl ModuloLiveness {
     /// Analyse `sched` for `graph` on `machine`.  Partial schedules are fine: only
-    /// placed producers and consumers contribute, mirroring `LifetimeMap`.
+    /// placed producers and consumers contribute, mirroring `cluster_max_live`.
     pub fn new(graph: &DepGraph, sched: &ModuloSchedule, machine: &MachineConfig) -> Self {
         let ii = sched.ii();
         let intervals = derive_intervals(graph, sched, ii);
@@ -181,7 +181,7 @@ impl ModuloLiveness {
     }
 
     /// Maximum simultaneously live values per cluster — must equal
-    /// `LifetimeMap::max_live` on any schedule (property-tested).
+    /// `vliw_sms::cluster_max_live` on any schedule (property-tested).
     pub fn max_live(&self) -> Vec<u32> {
         self.pressure
             .iter()

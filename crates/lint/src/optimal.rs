@@ -8,8 +8,9 @@
 //! [`vliw_sms::ModuloReservationTable`], the bus allocator
 //! ([`vliw_sms::allocate_comms`] over [`vliw_sms::required_comms`]), the
 //! dependence windows ([`vliw_sms::early_start`] / [`vliw_sms::late_start`]) and
-//! the register-pressure check ([`vliw_sms::LifetimeMap::fits`]) — so the solver
-//! and the engine can never disagree about what a feasible placement is.
+//! the incremental register-pressure check ([`vliw_sms::PressureTracker`],
+//! committed per placement and re-committed after each backtrack) — so the
+//! solver and the engine can never disagree about what a feasible placement is.
 //!
 //! ## Verdict soundness
 //!
@@ -71,10 +72,10 @@
 use crate::certify::Certifier;
 use serde::{Deserialize, Serialize};
 use vliw_arch::{FuKind, MachineConfig, ResourcePool};
-use vliw_ddg::{mii, rec_mii, res_mii, sccs, DepGraph, GraphAnalysis, NodeId};
+use vliw_ddg::{missing_fu_kind, rec_mii, res_mii, sccs, DepGraph, GraphAnalysis, NodeId};
 use vliw_sms::{
     early_start, late_start, max_ii, required_comms, CommPlacement, CommRequest, FuelBudget,
-    FuelMeter, FuelSpent, LifetimeMap, ModuloReservationTable, ModuloSchedule, PlacedOp,
+    FuelMeter, FuelSpent, ModuloReservationTable, ModuloSchedule, PlacedOp, PressureTracker,
 };
 
 /// What the solver proved about a loop's minimum achievable II on a machine.
@@ -106,11 +107,12 @@ pub struct OptCertificate {
     pub loop_name: String,
     /// The machine the loop was solved for.
     pub machine: String,
-    /// Resource-constrained component of the MII.
+    /// Resource-constrained component of the MII (`u32::MAX`: a unit kind is missing).
     pub res_mii: u32,
     /// Recurrence-constrained component of the MII.
     pub rec_mii: u32,
-    /// `max(res_mii, rec_mii)` — the theory lower bound the search starts from.
+    /// `max(res_mii, rec_mii)` — the theory lower bound the search starts from
+    /// (`u32::MAX`, verdict [`OptVerdict::Infeasible`]: a unit kind is missing).
     pub mii: u32,
     /// What the search proved.
     pub verdict: OptVerdict,
@@ -229,9 +231,17 @@ impl OptimalSolver {
         machine: &MachineConfig,
         incumbent: Option<u32>,
     ) -> OptCertificate {
-        let res = res_mii(graph, machine);
         let rec = rec_mii(graph);
-        let lo = mii(graph, machine).max(1);
+        // A loop using a unit kind the machine lacks fits no II: skip `res_mii`
+        // (which asserts the kinds exist) and the search, and certify it
+        // infeasible with both bounds at `u32::MAX`.
+        let runnable = missing_fu_kind(graph, machine).is_none();
+        let res = if runnable {
+            res_mii(graph, machine)
+        } else {
+            u32::MAX
+        };
+        let lo = res.max(rec).max(1);
         let mut fuel = FuelMeter::new(self.budget);
         let mut dfs = Dfs::new(graph, machine);
 
@@ -245,7 +255,7 @@ impl OptimalSolver {
         // would be no improvement, and exhausting the incumbent's own II still
         // runs (the contradiction cross-check above).
         let cap = incumbent.map_or(limit, |inc| inc.min(limit));
-        while ii <= cap {
+        while runnable && ii <= cap {
             if !fuel.spend_ii_step() {
                 exhausted = true;
                 break;
@@ -280,6 +290,7 @@ impl OptimalSolver {
         }
 
         let verdict = match (feasible, incumbent) {
+            _ if !runnable => OptVerdict::Infeasible,
             // The solver found its own witness: fully self-contained claim.
             (Some(w), _) => {
                 self.validate_witness(graph, machine, &mut dfs.sched);
@@ -358,6 +369,8 @@ struct Dfs<'a> {
     component_of: Vec<usize>,
     sched: ModuloSchedule,
     mrt: ModuloReservationTable,
+    /// Register pressure of `sched`, committed per placement.
+    pressure: PressureTracker,
     analysis: GraphAnalysis,
     ii: u32,
     /// Placements per cluster (drives the used-plus-one-fresh symmetry rule).
@@ -385,6 +398,7 @@ impl<'a> Dfs<'a> {
             order,
             component_of,
             sched: ModuloSchedule::new(graph.name.clone(), graph.n_nodes(), scratch_ii, scratch_ii),
+            pressure: PressureTracker::new(),
             analysis: GraphAnalysis::new(graph, scratch_ii),
             ii: scratch_ii,
             cluster_load: vec![0; machine.n_clusters],
@@ -399,6 +413,7 @@ impl<'a> Dfs<'a> {
         self.ii = ii;
         self.sched = ModuloSchedule::new(self.graph.name.clone(), self.graph.n_nodes(), ii, ii);
         self.mrt.reset(ii);
+        self.pressure.reset(self.machine, self.graph.n_nodes(), ii);
         self.analysis = GraphAnalysis::new(self.graph, ii);
         self.cluster_load.iter_mut().for_each(|c| *c = 0);
         self.component_load.iter_mut().for_each(|c| *c = 0);
@@ -565,8 +580,13 @@ impl<'a> Dfs<'a> {
                 cluster,
                 fu,
             });
-            let fits = LifetimeMap::new(self.graph, &self.sched, self.machine).fits(self.machine);
-            let out = if fits {
+            self.pressure.commit(self.graph, &self.sched, node);
+            debug_assert_eq!(
+                self.pressure.max_live(),
+                PressureTracker::of_schedule(self.graph, &self.sched, self.machine).max_live(),
+                "solver pressure diverged from the from-scratch fold"
+            );
+            let out = if self.pressure.fits() {
                 self.cluster_load[cluster] += 1;
                 self.component_load[self.component_of[node.index()]] += 1;
                 let out = self.expand(depth + 1, fuel);
@@ -585,6 +605,10 @@ impl<'a> Dfs<'a> {
                 Search::Exhausted { .. } => {}
             }
             self.sched.rollback(cp);
+            // Re-committing `node` on the rolled-back schedule drops its ranges
+            // and restores its predecessors': exactly the state before the
+            // placement.
+            self.pressure.commit(self.graph, &self.sched, node);
             return Search::Exhausted {
                 clean: !self.unclean,
             };
@@ -918,7 +942,7 @@ fn expansion_order(graph: &DepGraph, component_of: &[usize]) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use vliw_arch::OpClass;
-    use vliw_ddg::DepKind;
+    use vliw_ddg::{mii, DepKind};
 
     fn chain(n: usize, latency: u32) -> DepGraph {
         let mut g = DepGraph::new("chain");
@@ -954,6 +978,24 @@ mod tests {
         let cert = OptimalSolver::default().certify(&g, &machine);
         assert_eq!(cert.rec_mii, 2);
         assert_eq!(cert.verdict, OptVerdict::Optimal { ii: 2 });
+    }
+
+    /// A loop needing a unit kind the machine lacks is infeasible at every II: a
+    /// typed certificate with no fuel spent, not a panic in `res_mii`.
+    #[test]
+    fn a_machine_without_a_needed_unit_kind_is_infeasible_not_a_panic() {
+        let mut machine = MachineConfig::two_cluster(1, 1);
+        machine.cluster.fus[FuKind::Fp.index()] = 0;
+        let mut g = DepGraph::new("no-fp");
+        let ld = g.add_node(OpClass::Load);
+        let add = g.add_node(OpClass::FpAdd);
+        g.add_edge(ld, add, 2, 0, DepKind::Flow);
+        let cert = OptimalSolver::default().certify(&g, &machine);
+        assert_eq!(cert.verdict, OptVerdict::Infeasible);
+        assert_eq!((cert.res_mii, cert.mii), (u32::MAX, u32::MAX));
+        assert_eq!(cert.spent, FuelSpent::default());
+        assert!(!cert.exhausted);
+        assert!(cert.violated_by(1));
     }
 
     #[test]

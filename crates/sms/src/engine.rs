@@ -28,7 +28,6 @@
 
 use crate::comm::{allocate_uncovered_comms, CommAllocation, ProbeComms};
 use crate::fuel::{FuelBudget, FuelMeter, FuelSpent, FuelStop};
-use crate::lifetime::LifetimeMap;
 use crate::max_ii;
 use crate::mrt::ModuloReservationTable;
 use crate::ordering::{self, OrderingContext};
@@ -36,8 +35,8 @@ use crate::pressure::PressureTracker;
 use crate::schedule::{CommPlacement, ModuloSchedule, PlacedOp, ScheduleError};
 use crate::slots::{early_start, late_start, SlotScan};
 use serde::{Deserialize, Serialize};
-use vliw_arch::{FuKind, MachineConfig, ResourceIndex, ResourceKind, ResourcePool};
-use vliw_ddg::{rec_mii, res_mii, DepGraph, GraphAnalysis, NodeId};
+use vliw_arch::{MachineConfig, ResourceIndex, ResourceKind, ResourcePool};
+use vliw_ddg::{missing_fu_kind, rec_mii, res_mii, DepGraph, GraphAnalysis, NodeId};
 
 /// When the register-pressure check runs during an attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +46,9 @@ pub enum RegisterCheckMode {
     /// and the cluster is abandoned for this node (later cycles only lengthen
     /// lifetimes).
     PerPlacement,
-    /// Check `MaxLive` of cluster 0 once, after every node has been placed (the
-    /// unified SMS scheduler): an overflow fails the whole attempt.
+    /// Check `MaxLive` once, after every node has been placed (the unified SMS
+    /// scheduler, whose nodes all sit on cluster 0): an overflow in any cluster
+    /// fails the whole attempt.
     WholeSchedule,
 }
 
@@ -279,11 +279,12 @@ impl<'a> EngineView<'a> {
                             self.tracker.evaluate(self.graph, self.sched, node, cluster);
                         #[cfg(debug_assertions)]
                         {
-                            let lt = LifetimeMap::new(self.graph, self.sched, machine);
+                            let full =
+                                PressureTracker::of_schedule(self.graph, self.sched, machine);
                             debug_assert_eq!(
                                 (fits, max_live),
-                                (lt.fits(machine), lt.max_live_in(cluster)),
-                                "incremental pressure diverged from LifetimeMap \
+                                (full.fits(), full.max_live()[cluster]),
+                                "incremental pressure diverged from the from-scratch fold \
                                  placing {node} on cluster {cluster} at cycle {cycle}"
                             );
                         }
@@ -501,7 +502,8 @@ impl std::fmt::Display for LimitingResource {
 /// Structured account of how a schedule came to be, produced by the
 /// [`IiSearchDriver`] alongside every [`ModuloSchedule`] and carried through
 /// `ClusterSchedule` and the experiment results.
-#[derive(Debug, Clone, PartialEq)]
+/// The optional fields are omitted when `None` (older reports still read back).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleDiagnostics {
     /// The achieved initiation interval.
     pub ii: u32,
@@ -524,62 +526,12 @@ pub struct ScheduleDiagnostics {
     pub max_live_per_cluster: Vec<u32>,
     /// Fuel consumed by the search — present only when the driver ran under a
     /// [`FuelBudget`] (unbudgeted runs serialize byte-identically to older reports).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fuel: Option<FuelSpent>,
     /// The degradation-ladder rung that produced this schedule — present only when a
     /// resilient scheduler set it (plain engine runs leave it `None`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub rung: Option<String>,
-}
-
-// Hand-written (de)serialization: the committed result JSONs must stay byte-identical
-// when `fuel` / `rung` are absent, so the two optional fields are emitted only when
-// present and default to `None` when a report predating them is read back.
-impl Serialize for ScheduleDiagnostics {
-    fn to_value(&self) -> serde::Value {
-        let mut map = vec![
-            ("ii".to_string(), self.ii.to_value()),
-            ("mii".to_string(), self.mii.to_value()),
-            ("res_mii".to_string(), self.res_mii.to_value()),
-            ("rec_mii".to_string(), self.rec_mii.to_value()),
-            ("limiting".to_string(), self.limiting.to_value()),
-            ("ii_trajectory".to_string(), self.ii_trajectory.to_value()),
-            ("n_comms".to_string(), self.n_comms.to_value()),
-            (
-                "max_live_per_cluster".to_string(),
-                self.max_live_per_cluster.to_value(),
-            ),
-        ];
-        if let Some(fuel) = &self.fuel {
-            map.push(("fuel".to_string(), fuel.to_value()));
-        }
-        if let Some(rung) = &self.rung {
-            map.push(("rung".to_string(), rung.to_value()));
-        }
-        serde::Value::Map(map)
-    }
-}
-
-impl Deserialize for ScheduleDiagnostics {
-    fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let serde::Value::Map(map) = v else {
-            return Err(format!("expected map for ScheduleDiagnostics, got {v:?}"));
-        };
-        let opt = |key: &str| map.iter().find(|(k, _)| k == key).map(|(_, val)| val);
-        Ok(Self {
-            ii: Deserialize::from_value(serde::__get(map, "ii")?)?,
-            mii: Deserialize::from_value(serde::__get(map, "mii")?)?,
-            res_mii: Deserialize::from_value(serde::__get(map, "res_mii")?)?,
-            rec_mii: Deserialize::from_value(serde::__get(map, "rec_mii")?)?,
-            limiting: Deserialize::from_value(serde::__get(map, "limiting")?)?,
-            ii_trajectory: Deserialize::from_value(serde::__get(map, "ii_trajectory")?)?,
-            n_comms: Deserialize::from_value(serde::__get(map, "n_comms")?)?,
-            max_live_per_cluster: Deserialize::from_value(serde::__get(
-                map,
-                "max_live_per_cluster",
-            )?)?,
-            fuel: opt("fuel").map(Deserialize::from_value).transpose()?,
-            rung: opt("rung").map(Deserialize::from_value).transpose()?,
-        })
-    }
 }
 
 impl ScheduleDiagnostics {
@@ -649,7 +601,8 @@ struct EngineScratch {
 /// **Equivalence guarantee:** all of this is a pure optimization — schedules,
 /// [`ScheduleDiagnostics`] (including the II trajectory) and fuel receipts are those
 /// of the from-scratch search.  Debug builds cross-check every incremental pressure
-/// answer against a fresh [`LifetimeMap`], and
+/// answer against the tracker's from-scratch fold
+/// ([`PressureTracker::of_schedule`]), and
 /// `crates/verify/tests/incremental_equiv.rs` certifies the schedules of all five
 /// policies on random machines against the independent `vliw_lint` analyses.
 ///
@@ -705,13 +658,10 @@ impl<'m> IiSearchDriver<'m> {
                 "machine has no clusters".to_string(),
             ));
         }
-        let counts = graph.ops_per_fu_kind();
-        for kind in FuKind::ALL {
-            if counts[kind.index()] > 0 && self.machine.total_fus(kind) == 0 {
-                return Err(ScheduleError::InvalidMachine(format!(
-                    "graph uses {kind} units but the machine has none"
-                )));
-            }
+        if let Some(kind) = missing_fu_kind(graph, self.machine) {
+            return Err(ScheduleError::InvalidMachine(format!(
+                "graph uses {kind} units but the machine has none"
+            )));
         }
         Ok(())
     }
@@ -789,7 +739,15 @@ impl<'m> IiSearchDriver<'m> {
                     &mut meter,
                 ) {
                     Ok(mut sched) => {
+                        // Normalizing shifts every cycle by a multiple of II, so the
+                        // committed pressure rows describe the final schedule too.
                         sched.normalize();
+                        let max_live_per_cluster = scratch.tracker.max_live();
+                        debug_assert_eq!(
+                            max_live_per_cluster,
+                            PressureTracker::of_schedule(graph, &sched, self.machine).max_live(),
+                            "committed pressure diverged from the from-scratch fold"
+                        );
                         sched.limited_by_bus = bus_seen && sched.ii() > mii;
                         // A failed ordering at the *successful* II (the SMS order
                         // failed, the topological fallback succeeded) still belongs
@@ -798,8 +756,8 @@ impl<'m> IiSearchDriver<'m> {
                             trajectory.push(step);
                         }
                         let diagnostics = self.diagnostics(
-                            graph,
                             &sched,
+                            max_live_per_cluster,
                             res,
                             rec,
                             mii,
@@ -858,6 +816,7 @@ impl<'m> IiSearchDriver<'m> {
     /// trial must become a typed error before it corrupts anything.
     fn validate_trial(
         &self,
+        graph: &DepGraph,
         trial: &Trial,
         node: NodeId,
         pool: &ResourcePool,
@@ -894,6 +853,19 @@ impl<'m> IiSearchDriver<'m> {
                     comm.bus.0, comm.from_cluster, comm.to_cluster
                 )));
             }
+            // Every transfer a placement needs carries a value out of `node` or into
+            // it; the register tracker's commit relies on that to stay exact.
+            let feeds_node = comm.src_node == node
+                || graph
+                    .in_edges(node)
+                    .any(|e| e.kind.carries_value() && e.src == comm.src_node);
+            if !feeds_node {
+                return Err(ScheduleError::RoguePolicy(format!(
+                    "trial carries a transfer of node {}'s value, which placing node {node} \
+                     neither produces nor reads",
+                    comm.src_node
+                )));
+            }
         }
         Ok(())
     }
@@ -915,9 +887,7 @@ impl<'m> IiSearchDriver<'m> {
         scratch.mrt.reset(ii);
         scratch.assignment.fill(None);
         let per_placement = matches!(self.register_mode, RegisterCheckMode::PerPlacement);
-        if per_placement {
-            scratch.tracker.reset(self.machine, graph.n_nodes(), ii);
-        }
+        scratch.tracker.reset(self.machine, graph.n_nodes(), ii);
         let EngineScratch {
             mrt,
             assignment,
@@ -949,7 +919,7 @@ impl<'m> IiSearchDriver<'m> {
             register_failed |= view.register_failed;
             match chosen {
                 Some(trial) => {
-                    self.validate_trial(&trial, node, pool)
+                    self.validate_trial(graph, &trial, node, pool)
                         .map_err(AttemptError::Fatal)?;
                     // Commit: reserve the functional unit and the buses, record the
                     // node.
@@ -978,9 +948,11 @@ impl<'m> IiSearchDriver<'m> {
             }
         }
 
+        // The whole-schedule check folds a completed attempt into the tracker once,
+        // so the attempts that fail before it cost no pressure work at all.
         if !per_placement {
-            let lifetimes = LifetimeMap::new(graph, &sched, self.machine);
-            if lifetimes.max_live_in(0) as usize > self.machine.cluster.registers {
+            tracker.commit_placed(graph, &sched);
+            if !tracker.fits() {
                 return Err(AttemptError::Failed(AttemptFailure {
                     bus: bus_failed,
                     register: true,
@@ -994,8 +966,8 @@ impl<'m> IiSearchDriver<'m> {
     #[allow(clippy::too_many_arguments)]
     fn diagnostics(
         &self,
-        graph: &DepGraph,
         sched: &ModuloSchedule,
+        max_live_per_cluster: Vec<u32>,
         res: u32,
         rec: u32,
         mii: u32,
@@ -1017,7 +989,6 @@ impl<'m> IiSearchDriver<'m> {
         } else {
             LimitingResource::FunctionalUnits
         };
-        let max_live_per_cluster = LifetimeMap::new(graph, sched, self.machine).max_live();
         ScheduleDiagnostics {
             ii: sched.ii(),
             mii,
@@ -1412,6 +1383,43 @@ mod tests {
             .schedule(&g, &mut ForgingPolicy)
             .unwrap_err();
         assert!(matches!(err, ScheduleError::RoguePolicy(_)), "{err}");
+    }
+
+    /// A policy that smuggles a transfer of an unrelated producer's value into the
+    /// store's trial (the store reads only `add`; `lx` feeds `mul`).
+    struct SmugglingPolicy {
+        bus: ResourceIndex,
+    }
+    impl ClusterPolicy for SmugglingPolicy {
+        fn name(&self) -> &'static str {
+            "smuggling"
+        }
+        fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
+            let mut trial = view.probe(node, 0).trial?;
+            if node == NodeId(4) {
+                trial.comms.push(CommPlacement {
+                    src_node: NodeId(0),
+                    dst_node: node,
+                    from_cluster: 0,
+                    to_cluster: 1,
+                    bus: self.bus,
+                    start_cycle: trial.cycle,
+                    duration: 1,
+                });
+            }
+            Some(trial)
+        }
+    }
+
+    #[test]
+    fn transfers_of_values_the_node_neither_produces_nor_reads_are_refused() {
+        let machine = MachineConfig::two_cluster(1, 1);
+        let bus = ResourcePool::new(&machine).buses().next().unwrap();
+        let err = IiSearchDriver::new(&machine)
+            .schedule(&saxpy(), &mut SmugglingPolicy { bus })
+            .unwrap_err();
+        assert!(matches!(err, ScheduleError::RoguePolicy(_)), "{err}");
+        assert!(err.to_string().contains("node n0's value"), "{err}");
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!   neighbours kept close, and every node preceded in the order only by its
 //!   predecessors or only by its successors (except when a new disconnected subgraph
 //!   starts);
-//! * [`lifetime`] — value lifetimes and the `MaxLive` register-pressure estimate used
+//! * [`pressure`] — value lifetimes and the `MaxLive` register-pressure estimate used
 //!   to discard clusters whose register file would overflow (no spill code is
-//!   generated, as in the paper);
+//!   generated, as in the paper), kept incrementally by the
+//!   [`pressure::PressureTracker`]; its from-scratch fold
+//!   ([`pressure::PressureTracker::of_schedule`]) backs [`cluster_max_live`];
 //! * [`schedule::ModuloSchedule`] — the result type: per-node placement (cycle,
 //!   cluster, functional unit), inter-cluster communications (bus, cycle), initiation
 //!   interval, stage count, kernel emission as a [`vliw_arch::VliwProgram`] and the
@@ -34,7 +36,6 @@ pub mod comm;
 pub mod containment;
 pub mod engine;
 pub mod fuel;
-pub mod lifetime;
 pub mod mrt;
 pub mod ordering;
 pub mod pressure;
@@ -49,10 +50,9 @@ pub use engine::{
     Probe, RegisterCheckMode, ScheduleDiagnostics, ScheduledLoop, Trial,
 };
 pub use fuel::{Deadline, FuelBudget, FuelMeter, FuelSpent, FuelStop};
-pub use lifetime::{cluster_max_live, LifetimeMap};
 pub use mrt::{ModuloReservationTable, Reservation};
 pub use ordering::{sms_order, OrderingContext};
-pub use pressure::PressureTracker;
+pub use pressure::{cluster_max_live, PressureTracker};
 pub use schedule::{
     CommPlacement, ModuloSchedule, PlacedOp, ScheduleCheckpoint, ScheduleError, SlotMap,
 };
@@ -70,4 +70,11 @@ pub const MAX_II_SLACK: u32 = 32;
 pub fn max_ii(mii: u32) -> u32 {
     mii.saturating_mul(MAX_II_FACTOR)
         .saturating_add(MAX_II_SLACK)
+}
+
+/// Tests of the Section-5.1 lifetime model itself (see [`pressure`]), run on the
+/// tracker's from-scratch fold.
+#[cfg(test)]
+mod lifetime {
+    mod tests;
 }

@@ -1,39 +1,165 @@
-//! Incremental register-pressure tracking for the per-placement feasibility check.
+//! Value lifetimes and register pressure (`MaxLive`), kept incrementally.
 //!
-//! The cluster schedulers ask "does this trial placement overflow a register
-//! file?" once per probed cycle, and [`crate::lifetime::LifetimeMap`] answers by
-//! rebuilding every live range of the partial schedule — O(placed nodes × edges)
-//! per probe, which profiling shows dominates BSA's per-loop time. The
-//! [`PressureTracker`] answers the same question incrementally: placing node `n`
-//! can only change the live ranges of `n` itself and of `n`'s already-placed
-//! value predecessors (the producers whose values `n` consumes, whose last-read
-//! cycles and bus-transfer splits may move). Everything else is untouched, so the
-//! tracker retracts the affected producers' stored ranges, recomputes them
-//! against the trial schedule through the exact same
-//! `push_producer_ranges` helper the full map uses, and applies the
-//! difference — O(degree × II) per probe instead of a full rebuild.
+//! The paper's schedulers generate no spill code; instead, a cluster whose register
+//! file would overflow is simply not a candidate for the node being placed ("those
+//! clusters for which the insertion of this node would increase the register
+//! requirements above the number of available registers are discarded", Section 5.1).
+//! The register requirement of a cluster is estimated with the standard `MaxLive`
+//! measure: the maximum, over the `II` rows of the kernel, of the number of
+//! simultaneously live values the cluster's register file must hold.
 //!
-//! `fits` is answered from a running count of over-capacity (cluster, row)
-//! entries, updated as each row crosses the register-file size in either
-//! direction. Counting transitions instead of re-scanning keeps the answer
-//! *unconditionally* equal to the whole-map check — even mid-trial states that
-//! a hostile [`crate::engine::ClusterPolicy`] could produce by committing
-//! tampered trials (the fault-injection campaigns do exactly that) evaluate
-//! identically to a from-scratch [`crate::lifetime::LifetimeMap`].
+//! Lifetime model (documented assumptions):
 //!
-//! The tracker is a pure optimization: debug builds cross-check every answer
-//! against a freshly built `LifetimeMap`, and the schedules it admits are
-//! property-tested against the independent `vliw_lint` certifier and liveness
-//! analysis.
+//! * a value produced by node `p` placed at cycle `t_p` is live from `t_p` (the
+//!   register is conservatively considered allocated at issue) until the issue cycle of
+//!   its last consumer, where a consumer at distance `d` reads at `t_c + d·II`;
+//! * a consumer placed in a *different* cluster reads the value at the start cycle of
+//!   the corresponding bus transfer (after which the value lives in the bus / in the
+//!   consumer's incoming-value register, not in the producer's register file);
+//! * a value received over a bus is written to the receiving cluster's register file
+//!   only if it is not consumed exactly at its arrival cycle (otherwise it is read
+//!   directly from the incoming-value register, as the architecture of Figure 2
+//!   allows); when written, it is live from arrival until its last local use;
+//! * values with no consumer occupy a register for a single cycle.
+//!
+//! [`PressureTracker`] is the one implementation of this model.  Placing node `n`
+//! can only change the ranges of `n` and of its placed value predecessors, so the
+//! tracker re-derives just those against the trial schedule and applies the
+//! difference — O(degree × II) per probe.  `fits` counts over-capacity
+//! (cluster, row) entries as rows cross the register-file size, which keeps it
+//! equal to a from-scratch check even for the tampered trials a hostile
+//! [`crate::engine::ClusterPolicy`] may commit (the fault-injection campaigns do).
+//!
+//! The from-scratch view is a fold of the same commits:
+//! [`PressureTracker::of_schedule`] re-arms a tracker and derives every placed
+//! producer's ranges once (none of the incremental shortcuts), and
+//! [`cluster_max_live`] reads its `MaxLive`.  Debug builds cross-check
+//! the incremental answers against that fold; the schedules the tracker admits
+//! are property-tested against the independent `vliw_lint` analyses.
 
-use crate::lifetime::{apply_range_rows, push_producer_ranges, LiveRange};
 use crate::schedule::ModuloSchedule;
+use std::ops::Range;
 use vliw_arch::MachineConfig;
 use vliw_ddg::{DepGraph, NodeId};
 
+/// One live range contributing register pressure to a cluster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LiveRange {
+    /// The node whose value this range belongs to.
+    pub node: NodeId,
+    /// The cluster whose register file holds the value.
+    pub cluster: usize,
+    /// First cycle (inclusive) the value occupies a register.
+    pub start: i64,
+    /// Last cycle (exclusive).
+    pub end: i64,
+}
+
+/// Append the live ranges contributed by one producer `node` to `out`.
+///
+/// Pushes nothing when `node` defines no value or is not placed. `remote_last_read`
+/// is caller-provided scratch sized to the cluster count (contents are overwritten).
+fn push_producer_ranges(
+    graph: &DepGraph,
+    sched: &ModuloSchedule,
+    node: NodeId,
+    remote_last_read: &mut [Option<(i64, i64)>],
+    out: &mut Vec<LiveRange>,
+) {
+    let ii = sched.ii();
+    if !graph.node(node).class.defines_value() {
+        return;
+    }
+    let Some(prod) = sched.placement(node) else {
+        return;
+    };
+
+    // Producer-side range: from issue until the last read performed from this
+    // cluster's register file (local consumers, or the bus transfer start for
+    // remote consumers).
+    let mut last_local_read = prod.cycle + 1; // minimum 1-cycle occupancy
+
+    remote_last_read.fill(None);
+
+    for e in graph.out_edges(node).filter(|e| e.kind.carries_value()) {
+        let Some(cons) = sched.placement(e.dst) else {
+            continue;
+        };
+        let read_cycle = cons.cycle + e.distance as i64 * ii as i64;
+        if cons.cluster == prod.cluster {
+            last_local_read = last_local_read.max(read_cycle);
+        } else {
+            // The producer's register feeds the bus transfer.
+            let transfer = sched
+                .comms()
+                .iter()
+                .find(|c| c.src_node == node && c.to_cluster == cons.cluster);
+            let (send, arrive) = match transfer {
+                Some(c) => (c.start_cycle, c.start_cycle + c.duration as i64),
+                // No transfer recorded (e.g. mid-construction): fall back to
+                // the consumer's read cycle.
+                None => (read_cycle, read_cycle),
+            };
+            last_local_read = last_local_read.max(send);
+            let entry = &mut remote_last_read[cons.cluster];
+            let (arr, last) = entry.unwrap_or((arrive, arrive));
+            *entry = Some((arr.min(arrive), last.max(read_cycle)));
+        }
+    }
+
+    out.push(LiveRange {
+        node,
+        cluster: prod.cluster,
+        start: prod.cycle,
+        end: last_local_read,
+    });
+    for (cluster, entry) in remote_last_read.iter().enumerate() {
+        if let Some((arrive, last_read)) = entry {
+            // Read straight from the incoming-value register when consumed on
+            // arrival; otherwise it occupies a register until its last use.
+            if last_read > arrive {
+                out.push(LiveRange {
+                    node,
+                    cluster,
+                    start: *arrive,
+                    end: *last_read,
+                });
+            }
+        }
+    }
+}
+
+/// Apply one live range to a cluster's `II` pressure rows via `f` (used with `+=`
+/// to add a range and `-=` to retract one).
+///
+/// A range of `len` cycles contributes ceil-style coverage of kernel rows:
+/// row (start + k) mod II for k in 0..len — i.e. `len div II` instances in
+/// every row plus one more in the `len mod II` rows starting at the range's
+/// start row (a contiguous wrapped interval, since (start + (len div
+/// II)·II) mod II == start mod II).
+#[inline]
+fn apply_range_rows(rows: &mut [u32], ii: u32, r: &LiveRange, mut f: impl FnMut(&mut u32, u32)) {
+    let len = (r.end - r.start).max(1);
+    let full = (len / ii as i64) as u32;
+    let rem = (len % ii as i64) as usize;
+    if full > 0 {
+        for slot in rows.iter_mut() {
+            f(slot, full);
+        }
+    }
+    let row0 = r.start.rem_euclid(ii as i64) as usize;
+    let wrap = (row0 + rem).saturating_sub(ii as usize);
+    for slot in &mut rows[row0..(row0 + rem - wrap)] {
+        f(slot, 1);
+    }
+    for slot in &mut rows[..wrap] {
+        f(slot, 1);
+    }
+}
+
 /// Delta-maintained `[cluster × II]` live-value counts plus the per-producer
-/// ranges they came from. One instance lives in the engine scratch and is
-/// re-armed per scheduling attempt.
+/// ranges they came from.  The engine re-arms one per scheduling attempt, the
+/// exact solver in `vliw_lint` one per candidate II.
 #[derive(Debug, Default)]
 pub struct PressureTracker {
     ii: u32,
@@ -52,10 +178,11 @@ pub struct PressureTracker {
     /// scan).
     prepared: Option<NodeId>,
     new_ranges: Vec<LiveRange>,
-    /// Per-`affected` flag: whether the producer's trial ranges differ from its
-    /// committed ranges (equal ranges are not swapped at all — the add and the
-    /// retract would cancel exactly).
-    swapped: Vec<bool>,
+    /// The affected producers whose ranges over the current schedule differ from
+    /// their committed ranges, each with the span of its new ranges in
+    /// `new_ranges` (equal ranges are not swapped at all — the add and the retract
+    /// would cancel exactly).
+    swapped: Vec<(NodeId, Range<usize>)>,
     remote: Vec<Option<(i64, i64)>>,
 }
 
@@ -92,6 +219,56 @@ impl PressureTracker {
     /// A tracker with no capacity; [`PressureTracker::reset`] sizes it.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The from-scratch fold over `sched`: a tracker re-armed at `sched`'s II with
+    /// every placed producer's ranges derived.  Works on partial schedules too
+    /// (only placed producers and consumers contribute).
+    pub fn of_schedule(graph: &DepGraph, sched: &ModuloSchedule, machine: &MachineConfig) -> Self {
+        let mut tracker = Self::new();
+        tracker.reset(machine, graph.n_nodes(), sched.ii());
+        tracker.commit_placed(graph, sched);
+        tracker
+    }
+
+    /// Fold every node placed in `sched` into a freshly reset tracker: the state
+    /// committing them all would reach.  A producer's ranges depend on `sched`
+    /// alone, so each is derived once and added to the grid.  The engine's
+    /// whole-schedule register check runs this once per completed attempt.
+    pub(crate) fn commit_placed(&mut self, graph: &DepGraph, sched: &ModuloSchedule) {
+        self.prepared = None;
+        for op in sched.placements() {
+            let committed = &mut self.ranges_of[op.node.index()];
+            debug_assert!(committed.is_empty(), "commit_placed needs a reset tracker");
+            push_producer_ranges(graph, sched, op.node, &mut self.remote, committed);
+            apply_ranges::<true>(
+                &mut self.pressure,
+                &mut self.overflow,
+                self.registers,
+                self.ii,
+                committed,
+            );
+        }
+    }
+
+    /// Whether every cluster's committed pressure fits its register file.
+    pub fn fits(&self) -> bool {
+        self.overflow == 0
+    }
+
+    /// Committed `MaxLive` per cluster: the largest live-value count over the
+    /// cluster's `II` rows.
+    pub fn max_live(&self) -> Vec<u32> {
+        self.pressure
+            .chunks_exact(self.ii.max(1) as usize)
+            .map(|rows| rows.iter().copied().max().unwrap_or(0))
+            .collect()
+    }
+
+    /// Every committed range, producer by producer.
+    #[cfg(test)]
+    pub(crate) fn ranges(&self) -> Vec<LiveRange> {
+        self.ranges_of.iter().flatten().copied().collect()
     }
 
     /// Re-arm for a fresh (empty) scheduling attempt at `ii`.
@@ -175,11 +352,46 @@ impl PressureTracker {
             .all(|e| np.cycle + e.distance as i64 * ii <= prod.end)
     }
 
+    /// Swap the affected producers' committed ranges out of the grid and their
+    /// ranges over `sched` in, recording each changed producer in `swapped`.
+    /// `affected` must hold `node`'s affected set; `ranges_of` is left as is.
+    fn swap_in(&mut self, graph: &DepGraph, sched: &ModuloSchedule, node: NodeId) {
+        let ii = self.ii;
+        self.new_ranges.clear();
+        self.swapped.clear();
+        for idx in 0..self.affected.len() {
+            let p = self.affected[idx];
+            // The common case — a local consumer that reads before the producer's
+            // current last read — leaves the producer's ranges provably unchanged.
+            if p != node && self.pred_unchanged(graph, sched, node, p) {
+                continue;
+            }
+            let start = self.new_ranges.len();
+            push_producer_ranges(graph, sched, p, &mut self.remote, &mut self.new_ranges);
+            let Self {
+                pressure,
+                overflow,
+                ranges_of,
+                new_ranges,
+                registers,
+                swapped,
+                ..
+            } = self;
+            if new_ranges[start..] == ranges_of[p.index()][..] {
+                new_ranges.truncate(start);
+                continue;
+            }
+            swapped.push((p, start..new_ranges.len()));
+            apply_ranges::<false>(pressure, overflow, *registers, ii, &ranges_of[p.index()]);
+            apply_ranges::<true>(pressure, overflow, *registers, ii, &new_ranges[start..]);
+        }
+    }
+
     /// Register feasibility of a trial placement of `node` on `cluster`.
     ///
-    /// `sched` must already hold the trial (node placed, transfers added) — the
-    /// same convention as building a `LifetimeMap` over the trial schedule.
-    /// Returns `(fits, max_live_in(cluster))` exactly as the full map would, then
+    /// `sched` must already hold the trial (node placed, transfers added).
+    /// Returns `(fits, MaxLive of cluster)` exactly as
+    /// [`PressureTracker::of_schedule`] over the trial schedule would, then
     /// restores the tracker to the committed state.
     pub fn evaluate(
         &mut self,
@@ -193,39 +405,7 @@ impl PressureTracker {
         if self.prepared != Some(node) {
             self.collect_affected(graph, sched, node);
         }
-        self.new_ranges.clear();
-        self.swapped.clear();
-
-        // Swap the affected producers' old ranges out, trial ranges in.  A producer
-        // whose trial ranges equal its committed ranges (the common case: a local
-        // consumer that reads before the producer's current last read) is skipped —
-        // retract and re-add would cancel exactly.
-        for idx in 0..self.affected.len() {
-            let p = self.affected[idx];
-            if p != node && self.pred_unchanged(graph, sched, node, p) {
-                self.swapped.push(false);
-                continue;
-            }
-            let start = self.new_ranges.len();
-            push_producer_ranges(graph, sched, p, &mut self.remote, &mut self.new_ranges);
-            let Self {
-                pressure,
-                overflow,
-                ranges_of,
-                new_ranges,
-                registers,
-                ..
-            } = self;
-            if new_ranges[start..] == ranges_of[p.index()][..] {
-                new_ranges.truncate(start);
-                self.swapped.push(false);
-                continue;
-            }
-            self.swapped.push(true);
-            apply_ranges::<false>(pressure, overflow, *registers, ii, &ranges_of[p.index()]);
-            apply_ranges::<true>(pressure, overflow, *registers, ii, &new_ranges[start..]);
-        }
-
+        self.swap_in(graph, sched, node);
         let fits = self.overflow == 0;
         let max_live = self.pressure[cluster * ii as usize..(cluster + 1) * ii as usize]
             .iter()
@@ -234,82 +414,82 @@ impl PressureTracker {
             .unwrap_or(0);
 
         // Undo: the trial is not committed yet.
-        {
-            let Self {
-                pressure,
-                overflow,
-                new_ranges,
-                registers,
-                ..
-            } = self;
-            apply_ranges::<false>(pressure, overflow, *registers, ii, new_ranges);
-        }
-        for idx in 0..self.affected.len() {
-            if !self.swapped[idx] {
-                continue;
-            }
-            let p = self.affected[idx];
-            let Self {
-                pressure,
-                overflow,
-                ranges_of,
-                registers,
-                ..
-            } = self;
+        let Self {
+            pressure,
+            overflow,
+            ranges_of,
+            new_ranges,
+            registers,
+            swapped,
+            ..
+        } = self;
+        apply_ranges::<false>(pressure, overflow, *registers, ii, new_ranges);
+        for (p, _) in swapped.iter() {
             apply_ranges::<true>(pressure, overflow, *registers, ii, &ranges_of[p.index()]);
         }
-
         (fits, max_live)
     }
 
-    /// Fold a placement the engine just committed into the tracked state.
+    /// Fold a placement just committed into the tracked state.
     ///
-    /// `sched` holds the committed schedule (trial applied for real).
+    /// `sched` holds the committed schedule (trial applied for real).  The call
+    /// recomputes the ranges of `node` and of its placed value predecessors against
+    /// `sched`, so it also resynchronizes after `node`'s placement is rolled back:
+    /// on the rolled-back schedule it drops `node`'s ranges and restores its
+    /// predecessors' (every transfer a placement adds leaves `node` or one of
+    /// them).
     pub fn commit(&mut self, graph: &DepGraph, sched: &ModuloSchedule, node: NodeId) {
-        let ii = self.ii;
         self.prepared = None;
         self.collect_affected(graph, sched, node);
-        for idx in 0..self.affected.len() {
-            let p = self.affected[idx];
-            if p != node && self.pred_unchanged(graph, sched, node, p) {
-                continue;
-            }
-            self.new_ranges.clear();
-            {
-                let Self {
-                    new_ranges, remote, ..
-                } = self;
-                push_producer_ranges(graph, sched, p, remote, new_ranges);
-            }
-            if self.new_ranges[..] == self.ranges_of[p.index()][..] {
-                continue;
-            }
-            let Self {
-                pressure,
-                overflow,
-                ranges_of,
-                new_ranges,
-                registers,
-                ..
-            } = self;
-            apply_ranges::<false>(pressure, overflow, *registers, ii, &ranges_of[p.index()]);
-            apply_ranges::<true>(pressure, overflow, *registers, ii, new_ranges);
-            ranges_of[p.index()].clear();
-            ranges_of[p.index()].extend_from_slice(new_ranges);
+        self.swap_in(graph, sched, node);
+        for (p, span) in &self.swapped {
+            let committed = &mut self.ranges_of[p.index()];
+            committed.clear();
+            committed.extend_from_slice(&self.new_ranges[span.clone()]);
         }
     }
+}
+
+/// The per-cluster `MaxLive` of a schedule (see [`PressureTracker::of_schedule`]).
+pub fn cluster_max_live(
+    graph: &DepGraph,
+    sched: &ModuloSchedule,
+    machine: &MachineConfig,
+) -> Vec<u32> {
+    PressureTracker::of_schedule(graph, sched, machine).max_live()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifetime::LifetimeMap;
+    use crate::engine::{ClusterPolicy, EngineView, FixedAssignmentPolicy, IiSearchDriver, Trial};
     use crate::schedule::{CommPlacement, PlacedOp};
     use vliw_arch::{FuKind, MachineConfig, OpClass, ResourcePool};
     use vliw_ddg::{DepGraph, DepKind};
 
+    fn place(
+        sched: &mut ModuloSchedule,
+        pool: &ResourcePool,
+        node: u32,
+        cycle: i64,
+        cluster: usize,
+        kind: FuKind,
+    ) {
+        sched.place(PlacedOp {
+            node: NodeId(node),
+            cycle,
+            cluster,
+            fu: pool.fus(cluster, kind).next().unwrap(),
+        });
+    }
+
+    /// The committed state two trackers must share to be interchangeable.
+    fn state(tracker: &PressureTracker) -> (Vec<u32>, u32, Vec<LiveRange>) {
+        (tracker.pressure.clone(), tracker.overflow, tracker.ranges())
+    }
+
     /// Drive the tracker through a hand-built placement sequence and check every
-    /// evaluate() against a from-scratch LifetimeMap.
+    /// evaluate() and every commit against the from-scratch fold.
     #[test]
     fn tracker_matches_full_lifetime_map_across_commits() {
         let machine = MachineConfig::two_cluster(1, 2);
@@ -333,66 +513,171 @@ mod tests {
             (c, 5, 0, FuKind::Fp, Some((b, 8, 1))),
         ];
         for (node, cycle, cluster, kind, comm) in plan {
+            let apply = |sched: &mut ModuloSchedule| {
+                if let Some((src, start, dur)) = comm {
+                    sched.add_comm(CommPlacement {
+                        src_node: src,
+                        dst_node: node,
+                        from_cluster: sched.placement(src).unwrap().cluster,
+                        to_cluster: cluster,
+                        bus: pool.buses().next().unwrap(),
+                        start_cycle: start,
+                        duration: dur,
+                    });
+                }
+                sched.place(PlacedOp {
+                    node,
+                    cycle,
+                    cluster,
+                    fu: pool.fus(cluster, kind).next().unwrap(),
+                });
+            };
             // Trial: apply, evaluate, compare, roll back.
             let cp = sched.checkpoint();
-            if let Some((src, start, dur)) = comm {
-                sched.add_comm(CommPlacement {
-                    src_node: src,
-                    dst_node: node,
-                    from_cluster: sched.placement(src).unwrap().cluster,
-                    to_cluster: cluster,
-                    bus: pool.buses().next().unwrap(),
-                    start_cycle: start,
-                    duration: dur,
-                });
-            }
-            sched.place(PlacedOp {
-                node,
-                cycle,
-                cluster,
-                fu: pool.fus(cluster, kind).next().unwrap(),
-            });
+            apply(&mut sched);
             let (fits, max_live) = tracker.evaluate(&g, &sched, node, cluster);
-            let lt = LifetimeMap::new(&g, &sched, &machine);
-            assert_eq!(fits, lt.fits(&machine), "fits mismatch placing {node:?}");
+            let full = PressureTracker::of_schedule(&g, &sched, &machine);
+            assert_eq!(fits, full.fits(), "fits mismatch placing {node:?}");
             assert_eq!(
                 max_live,
-                lt.max_live_in(cluster),
+                full.max_live()[cluster],
                 "max_live mismatch placing {node:?}"
             );
             sched.rollback(cp);
 
             // Now commit the same placement for real.
-            if let Some((src, start, dur)) = comm {
-                sched.add_comm(CommPlacement {
-                    src_node: src,
-                    dst_node: node,
-                    from_cluster: sched.placement(src).unwrap().cluster,
-                    to_cluster: cluster,
-                    bus: pool.buses().next().unwrap(),
-                    start_cycle: start,
-                    duration: dur,
-                });
-            }
-            sched.place(PlacedOp {
-                node,
-                cycle,
-                cluster,
-                fu: pool.fus(cluster, kind).next().unwrap(),
-            });
+            apply(&mut sched);
             tracker.commit(&g, &sched, node);
+            let full = PressureTracker::of_schedule(&g, &sched, &machine);
+            assert_eq!(state(&tracker), state(&full), "commit of {node:?}");
+        }
+        assert!(tracker.fits());
+    }
+
+    /// Committing a node again after its placement was rolled back restores the
+    /// tracker to the fold of the rolled-back schedule — including a predecessor
+    /// whose value the placement had sent over a bus.  The exact solver relies on
+    /// this to backtrack.
+    #[test]
+    fn recommit_after_rollback_drops_the_placement() {
+        let machine = MachineConfig::two_cluster(1, 2);
+        let pool = ResourcePool::new(&machine);
+        let mut g = DepGraph::new("resync");
+        let a = g.add_node(OpClass::Load);
+        let b = g.add_node(OpClass::FpAdd);
+        let c = g.add_node(OpClass::FpMul);
+        g.add_edge(a, b, 2, 0, DepKind::Flow);
+        g.add_edge(a, c, 2, 0, DepKind::Flow);
+
+        let ii = 4;
+        let mut sched = ModuloSchedule::new("resync", 3, ii, 1);
+        let mut tracker = PressureTracker::new();
+        tracker.reset(&machine, g.n_nodes(), ii);
+        place(&mut sched, &pool, 0, 0, 0, FuKind::Mem);
+        tracker.commit(&g, &sched, a);
+        place(&mut sched, &pool, 2, 3, 0, FuKind::Fp);
+        tracker.commit(&g, &sched, c);
+        let before = state(&tracker);
+
+        // b in the other cluster: a's value crosses the bus at 2, arrives at 3 and
+        // waits in a cluster-1 register until b reads it at 6.
+        let cp = sched.checkpoint();
+        sched.add_comm(CommPlacement {
+            src_node: a,
+            dst_node: b,
+            from_cluster: 0,
+            to_cluster: 1,
+            bus: pool.buses().next().unwrap(),
+            start_cycle: 2,
+            duration: 1,
+        });
+        place(&mut sched, &pool, 1, 6, 1, FuKind::Fp);
+        tracker.commit(&g, &sched, b);
+        assert!(tracker
+            .ranges()
+            .iter()
+            .any(|r| r.node == a && r.cluster == 1));
+        assert_ne!(state(&tracker), before);
+
+        sched.rollback(cp);
+        tracker.commit(&g, &sched, b);
+        let full = PressureTracker::of_schedule(&g, &sched, &machine);
+        assert_eq!(state(&tracker), state(&full));
+        assert_eq!(state(&tracker), before);
+        assert!(!tracker.ranges().iter().any(|r| r.cluster == 1));
+    }
+
+    /// A [`FixedAssignmentPolicy`] that records the order the engine asks for
+    /// nodes in its last attempt.
+    struct Recording {
+        inner: FixedAssignmentPolicy,
+        order: Vec<NodeId>,
+    }
+
+    impl ClusterPolicy for Recording {
+        fn name(&self) -> &'static str {
+            "recording"
         }
 
-        // After all commits the tracked pressure equals the full map's.
-        let lt = LifetimeMap::new(&g, &sched, &machine);
-        for cl in 0..machine.n_clusters {
-            assert_eq!(
-                &tracker.pressure[cl * ii as usize..(cl + 1) * ii as usize],
-                lt.pressure_of(cl),
-                "committed pressure mismatch in cluster {cl}"
-            );
+        fn begin_attempt(&mut self, _: &DepGraph, _: &MachineConfig, _: u32) {
+            self.order.clear();
         }
-        assert_eq!(tracker.overflow, 0);
+
+        fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
+            self.order.push(node);
+            self.inner.select_placement(node, view)
+        }
+    }
+
+    /// The fold (which commits in node order) equals the state reached by
+    /// committing in the engine's own placement order, at every prefix — with
+    /// each placement's transfers added alongside it, as the engine does.
+    #[test]
+    fn fold_matches_commits_in_engine_order() {
+        let machine = MachineConfig::two_cluster(1, 1);
+        let g = vliw_ddg::GraphBuilder::new("fanout")
+            .node("l0", OpClass::Load)
+            .node("l1", OpClass::Load)
+            .node("m", OpClass::FpMul)
+            .node("a", OpClass::FpAdd)
+            .node("s", OpClass::Store)
+            .node("x", OpClass::FpAdd)
+            .flow("l0", "m")
+            .flow("l1", "m")
+            .flow("l0", "a")
+            .flow("m", "a")
+            .flow("a", "s")
+            .flow("m", "x")
+            .flow_at("x", "m", 1)
+            .build();
+        let mut policy = Recording {
+            inner: FixedAssignmentPolicy::new("split", vec![0, 1, 1, 0, 1, 0]),
+            order: Vec::new(),
+        };
+        let out = IiSearchDriver::new(&machine)
+            .schedule(&g, &mut policy)
+            .unwrap();
+        let fin = out.schedule;
+        assert!(fin.n_comms() > 0, "the fixture must cross the bus");
+        assert_eq!(policy.order.len(), g.n_nodes());
+
+        let mut partial = ModuloSchedule::new("fanout", g.n_nodes(), fin.ii(), fin.ii());
+        let mut tracker = PressureTracker::new();
+        tracker.reset(&machine, g.n_nodes(), fin.ii());
+        for &node in &policy.order {
+            partial.place(*fin.placement(node).unwrap());
+            for c in fin.comms() {
+                let ends = [c.src_node, c.dst_node];
+                if ends.contains(&node) && ends.iter().all(|&n| partial.placement(n).is_some()) {
+                    partial.add_comm(*c);
+                }
+            }
+            tracker.commit(&g, &partial, node);
+            let full = PressureTracker::of_schedule(&g, &partial, &machine);
+            assert_eq!(state(&tracker), state(&full), "after committing {node:?}");
+        }
+        assert_eq!(partial.n_comms(), fin.n_comms());
+        assert_eq!(tracker.max_live(), out.diagnostics.max_live_per_cluster);
     }
 
     /// A register file too large for `u32` (still a valid machine) must never
@@ -426,8 +711,8 @@ mod tests {
             fu: pool.fus(0, FuKind::Fp).next().unwrap(),
         });
         let got = tracker.evaluate(&g, &sched, b, 0);
-        let lt = LifetimeMap::new(&g, &sched, &machine);
-        assert_eq!(got, (lt.fits(&machine), lt.max_live_in(0)));
+        let full = PressureTracker::of_schedule(&g, &sched, &machine);
+        assert_eq!(got, (full.fits(), full.max_live()[0]));
         assert!(got.0);
     }
 
@@ -480,7 +765,7 @@ mod tests {
 
     /// A committed state that itself overflows (possible only via tampered trials,
     /// which the fault-injection campaigns exercise) must still evaluate exactly
-    /// like a from-scratch LifetimeMap.
+    /// like the from-scratch fold.
     #[test]
     fn overflowing_committed_state_still_matches_the_full_map() {
         let machine = MachineConfig::four_cluster(1, 1); // 16 registers
@@ -530,10 +815,10 @@ mod tests {
             fu: pool.fus(1, FuKind::Mem).next().unwrap(),
         });
         let (fits, max_live) = tracker.evaluate(&g, &sched, tail, 1);
-        let lt = LifetimeMap::new(&g, &sched, &machine);
-        assert_eq!(fits, lt.fits(&machine));
+        let full = PressureTracker::of_schedule(&g, &sched, &machine);
+        assert_eq!(fits, full.fits());
         assert!(!fits);
-        assert_eq!(max_live, lt.max_live_in(1));
+        assert_eq!(max_live, full.max_live()[1]);
         sched.rollback(cp);
     }
 }

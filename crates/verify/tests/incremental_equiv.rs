@@ -8,8 +8,9 @@
 //! The sampled machine space includes harsh configurations (tiny register files,
 //! saturated buses), so the cases exercise deep II retry chains, ordering fallbacks
 //! and register-limited failures, not just first-try successes.  In debug builds the
-//! engine additionally cross-checks the tracker against a full `LifetimeMap` on
-//! every probe, so a divergence would pinpoint the exact placement.
+//! engine additionally cross-checks the tracker against its from-scratch fold
+//! (`PressureTracker::of_schedule`) on every probe, so a divergence would pinpoint
+//! the exact placement.
 
 use cvliw_core::BsaScheduler;
 use vliw_arch::MachineSpace;

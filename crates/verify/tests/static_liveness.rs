@@ -1,8 +1,9 @@
 //! Property test of the static analysis layer against the scheduling engine: the
 //! lint crate's modulo-liveness analysis recomputes the per-cluster `MaxLive`
-//! register-pressure numbers **independently** of `vliw_sms::LifetimeMap` (its own
-//! interval derivation, its own pressure fold over the kernel rows), and the two
-//! must agree exactly on every schedule any policy produces — across random
+//! register-pressure numbers **independently** of `vliw_sms::PressureTracker` (its
+//! own interval derivation, its own pressure fold over the kernel rows), and it
+//! must agree exactly with the tracker's from-scratch fold
+//! (`vliw_sms::cluster_max_live`) on every schedule any policy produces — across random
 //! machines, random loops and all five scheduling policies of the repository.
 //!
 //! This is the agreement that lets the certifier's `register-pressure` deny lint
@@ -29,7 +30,7 @@ fn static_max_live_matches_lifetime_map_across_policies_and_cases() {
             assert_eq!(
                 liveness.max_live(),
                 reference,
-                "case {index} ({}) policy {} on {}: static MaxLive diverged from LifetimeMap",
+                "case {index} ({}) policy {} on {}: static MaxLive diverged from the tracker's fold",
                 case.graph.name,
                 policy.label(),
                 target
