@@ -32,12 +32,12 @@
 //! to the full sweep.  Results are written to `BENCH_perf.json` in the working
 //! directory (the repo root under `cargo run`).
 
-use cvliw_core::{BsaScheduler, ResilientScheduler, UnrollPolicy};
+use cvliw_core::{Policy, ResilientScheduler, Scheduler, UnrollPolicy};
 use serde::Serialize;
 use std::time::Instant;
 use vliw_arch::{MachineConfig, ResourcePool};
-use vliw_bench::{figures, run_corpus, standard_corpora, Algorithm};
-use vliw_sms::{FuelBudget, ModuloReservationTable, SmsScheduler};
+use vliw_bench::{fast_from_env, figures, run_corpus, standard_corpora, Algorithm};
+use vliw_sms::{FuelBudget, ModuloReservationTable};
 use vliw_workloads::{LoopCorpus, SpecFp95};
 
 /// Wall-clock of the full Figure-8 sweep at the seed commit (sequential rayon shim,
@@ -212,7 +212,7 @@ fn swim_fixture() -> (LoopCorpus, u64) {
 fn micro_bsa_schedule() -> Micro {
     let (corpus, iterations) = swim_fixture();
     let machine = MachineConfig::four_cluster(1, 1);
-    let bsa = BsaScheduler::new(&machine);
+    let bsa = Scheduler::new(Policy::Bsa, &machine);
     micro(
         "BSA schedule (8 swim loops, 4-cluster/1-bus)",
         iterations * corpus.loops.len() as u64,
@@ -230,7 +230,7 @@ fn micro_bsa_schedule() -> Micro {
 fn micro_budgeted_bsa() -> Micro {
     let (corpus, iterations) = swim_fixture();
     let machine = MachineConfig::four_cluster(1, 1);
-    let bsa = BsaScheduler::new(&machine).with_fuel(FuelBudget::probes(GENEROUS_PROBES));
+    let bsa = Scheduler::new(Policy::Bsa, &machine).with_fuel(FuelBudget::probes(GENEROUS_PROBES));
     micro(
         "BSA schedule, fuel-budgeted (8 swim loops, 4-cluster/1-bus)",
         iterations * corpus.loops.len() as u64,
@@ -264,7 +264,7 @@ fn micro_resilient_ladder() -> Micro {
                         .expect("ladder must produce a schedule");
                     assert_eq!(
                         out.rung(),
-                        "bsa",
+                        Policy::Bsa.label(),
                         "generous fuel should let the primary win"
                     );
                 }
@@ -276,7 +276,7 @@ fn micro_resilient_ladder() -> Micro {
 fn micro_unified_sms() -> Micro {
     let (corpus, iterations) = swim_fixture();
     let machine = MachineConfig::unified();
-    let sms = SmsScheduler::new(&machine);
+    let sms = Scheduler::new(Policy::UnifiedSms, &machine);
     micro(
         "unified SMS schedule (8 swim loops)",
         iterations * corpus.loops.len() as u64,
@@ -292,7 +292,7 @@ fn micro_unified_sms() -> Micro {
 }
 
 fn main() {
-    let fast = std::env::var("FAST_EXPERIMENTS").is_ok();
+    let fast = fast_from_env();
     let mode = if fast { "fast" } else { "full" };
     let corpora = standard_corpora();
     let threads = rayon::current_num_threads();

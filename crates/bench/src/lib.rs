@@ -40,13 +40,13 @@ pub mod lint_audit;
 pub mod optgap;
 pub mod sweep;
 
-use cvliw_core::{BsaScheduler, ClusterSchedule, NeScheduler, SelectiveUnroller, UnrollPolicy};
+use cvliw_core::{ClusterSchedule, Policy, Scheduler, SelectiveUnroller, UnrollPolicy};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vliw_arch::MachineConfig;
 use vliw_ddg::DepGraph;
 use vliw_metrics::{CodeSizeModel, CodeSizeReport, IpcAccountant, IpcView, LoopContribution};
-use vliw_sms::{LimitingResource, ScheduleDiagnostics, ScheduleError, SmsScheduler};
+use vliw_sms::{LimitingResource, ScheduleDiagnostics, ScheduleError};
 use vliw_workloads::LoopCorpus;
 
 pub use sweep::{Baseline, CellId, CellOutcome, Sweep, SweepJob, SweepResults};
@@ -86,24 +86,20 @@ pub fn schedule_loop(
     algorithm: Algorithm,
     policy: UnrollPolicy,
 ) -> Result<ClusterSchedule, ScheduleError> {
-    match algorithm {
-        Algorithm::UnifiedSms => {
-            SelectiveUnroller::new(SmsScheduler::new(machine)).schedule_with_policy(graph, policy)
-        }
-        Algorithm::Bsa => {
-            let mut bsa = BsaScheduler::new(machine);
-            if let Some(probes) = std::env::var("FUEL_BUDGET_PROBES")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-            {
-                bsa = bsa.with_fuel(vliw_sms::FuelBudget::probes(probes));
-            }
-            SelectiveUnroller::new(bsa).schedule_with_policy(graph, policy)
-        }
-        Algorithm::NystromEichenberger => {
-            SelectiveUnroller::new(NeScheduler::new(machine)).schedule_with_policy(graph, policy)
+    let mut scheduler = match algorithm {
+        Algorithm::UnifiedSms => Scheduler::new(Policy::UnifiedSms, machine),
+        Algorithm::Bsa => Scheduler::new(Policy::Bsa, machine),
+        Algorithm::NystromEichenberger => Scheduler::new(Policy::NystromEichenberger, machine),
+    };
+    if algorithm == Algorithm::Bsa {
+        if let Some(probes) = std::env::var("FUEL_BUDGET_PROBES")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+        {
+            scheduler = scheduler.with_fuel(vliw_sms::FuelBudget::probes(probes));
         }
     }
+    SelectiveUnroller::new(scheduler).schedule_with_policy(graph, policy)
 }
 
 /// Aggregated engine diagnostics over every loop of a corpus run: how many loops each
@@ -356,20 +352,32 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::p
     vliw_lint::reportio::write_results_json(name, value)
 }
 
+/// Whether an environment flag's value turns it on: unset or `0` means off, any
+/// other value means on.
+fn flag_on(value: Option<&str>) -> bool {
+    value.is_some_and(|v| v != "0")
+}
+
 /// Whether figure pipelines should run execution-validated, from the
 /// `VERIFY_CELLS` environment variable (set it to anything but `0`).  Every figure
 /// pipeline feeds this into [`sweep::Sweep::verify_cells`], so
 /// `VERIFY_CELLS=1 cargo run --release -p vliw-bench --bin fig9` reproduces the
 /// figure with every schedule of every cell audited by the differential oracle.
 pub fn verify_from_env() -> bool {
-    std::env::var("VERIFY_CELLS").is_ok_and(|v| v != "0")
+    flag_on(std::env::var("VERIFY_CELLS").ok().as_deref())
+}
+
+/// Whether the experiment binaries run on shrunk corpora, from the
+/// `FAST_EXPERIMENTS` environment variable (set it to anything but `0`).
+pub fn fast_from_env() -> bool {
+    flag_on(std::env::var("FAST_EXPERIMENTS").ok().as_deref())
 }
 
 /// The standard corpus used by all experiment binaries, optionally shrunk by the
-/// `FAST_EXPERIMENTS` environment variable (useful in CI).
+/// `FAST_EXPERIMENTS` environment variable (useful in CI; see [`fast_from_env`]).
 pub fn standard_corpora() -> Vec<LoopCorpus> {
     let mut corpora = LoopCorpus::all();
-    if std::env::var("FAST_EXPERIMENTS").is_ok() {
+    if fast_from_env() {
         for corpus in &mut corpora {
             corpus.loops.truncate(4);
         }
@@ -382,6 +390,15 @@ pub fn standard_corpora() -> Vec<LoopCorpus> {
 mod tests {
     use super::*;
     use vliw_workloads::SpecFp95;
+
+    #[test]
+    fn unset_or_zero_flags_are_off() {
+        assert!(!flag_on(None));
+        assert!(!flag_on(Some("0")));
+        assert!(flag_on(Some("1")));
+        assert!(flag_on(Some("")));
+        assert!(flag_on(Some("yes")));
+    }
 
     fn small_corpus() -> LoopCorpus {
         let mut c = LoopCorpus::generate(SpecFp95::Swim);

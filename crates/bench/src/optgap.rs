@@ -221,7 +221,13 @@ fn audit_pair(
                 error: e.to_string(),
             },
         };
-        rows.push(row_of(case_index, machine, "bsa", unroll_factor, &outcome));
+        rows.push(row_of(
+            case_index,
+            machine,
+            Policy::Bsa.label(),
+            unroll_factor,
+            &outcome,
+        ));
     }
     rows
 }

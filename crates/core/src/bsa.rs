@@ -9,7 +9,7 @@
 //! (assign, then schedule) approaches.
 //!
 //! Since the engine refactor the II search, ordering fallbacks, scratch reuse and
-//! register checking all live in the shared [`IiSearchDriver`]; this module only
+//! register checking all live in the shared [`vliw_sms::IiSearchDriver`]; this module only
 //! contains [`BsaPolicy`] — the cluster-selection strategy of Figure 5:
 //!
 //! 1. nodes that start a new connected subgraph rotate the *default cluster*;
@@ -22,65 +22,9 @@
 //! 4. if no cluster is feasible the engine increases the initiation interval and
 //!    restarts the whole schedule.
 
-use crate::result::LoopScheduler;
 use vliw_arch::MachineConfig;
 use vliw_ddg::{DepGraph, NodeId};
-use vliw_sms::{
-    ClusterPolicy, EngineView, FuelBudget, IiSearchDriver, ModuloSchedule, ScheduleError,
-    ScheduledLoop, Trial,
-};
-
-/// The paper's cluster-oriented modulo scheduler.
-///
-/// Per-cluster register pressure (`MaxLive`) is always checked when choosing
-/// clusters, matching the paper (no spill code is generated).
-#[derive(Debug, Clone)]
-pub struct BsaScheduler {
-    machine: MachineConfig,
-    /// Optional fuel budget for the II search.  `None` (the default) preserves the
-    /// unbudgeted search exactly, so all committed figure artifacts are unaffected.
-    fuel: Option<FuelBudget>,
-}
-
-impl BsaScheduler {
-    /// A BSA scheduler for `machine`.
-    pub fn new(machine: &MachineConfig) -> Self {
-        Self {
-            machine: machine.clone(),
-            fuel: None,
-        }
-    }
-
-    /// Run the II search under a deterministic [`FuelBudget`].  When the budget is
-    /// exhausted the search stops with [`ScheduleError::BudgetExhausted`] instead of
-    /// continuing toward `max_ii`.
-    #[must_use]
-    pub fn with_fuel(mut self, budget: FuelBudget) -> Self {
-        self.fuel = Some(budget);
-        self
-    }
-
-    /// The machine being scheduled for.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    /// Modulo schedule `graph`, performing cluster assignment and scheduling in a
-    /// single pass.
-    pub fn schedule(&self, graph: &DepGraph) -> Result<ModuloSchedule, ScheduleError> {
-        self.schedule_diag(graph).map(|out| out.schedule)
-    }
-
-    /// Like [`BsaScheduler::schedule`], but also return the engine's
-    /// [`vliw_sms::ScheduleDiagnostics`].
-    pub fn schedule_diag(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        let mut driver = IiSearchDriver::new(&self.machine);
-        if let Some(fuel) = self.fuel {
-            driver = driver.with_fuel(fuel);
-        }
-        driver.schedule(graph, &mut BsaPolicy::new())
-    }
-}
+use vliw_sms::{ClusterPolicy, EngineView, Trial};
 
 /// One feasible trial together with its communication profit.
 #[derive(Debug, Clone)]
@@ -150,10 +94,6 @@ impl Default for BsaPolicy {
 }
 
 impl ClusterPolicy for BsaPolicy {
-    fn name(&self) -> &'static str {
-        "bsa"
-    }
-
     fn begin_attempt(&mut self, graph: &DepGraph, machine: &MachineConfig, _ii: u32) {
         // Figure 5 initialises the default cluster before the loop; starting at the
         // last cluster makes the first new subgraph use cluster 0.
@@ -298,25 +238,17 @@ fn cluster_holds_neighbour(
         .any(|n| assignment[n.index()] == Some(cluster))
 }
 
-impl LoopScheduler for BsaScheduler {
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    fn schedule_loop(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        self.schedule_diag(graph)
-    }
-
-    fn name(&self) -> &'static str {
-        "bsa"
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LoopScheduler, Policy, Scheduler};
     use vliw_arch::{BusConfig, ClusterConfig, LatencyModel, OpClass};
     use vliw_ddg::{DepKind, GraphBuilder};
-    use vliw_sms::SmsScheduler;
+    use vliw_sms::{ModuloSchedule, ScheduleError};
+
+    fn bsa(machine: &MachineConfig) -> Scheduler {
+        Scheduler::new(Policy::Bsa, machine)
+    }
 
     fn saxpy() -> DepGraph {
         GraphBuilder::new("saxpy")
@@ -423,11 +355,9 @@ mod tests {
     fn saxpy_on_two_clusters_matches_unified_ii() {
         let machine = MachineConfig::two_cluster(1, 1);
         let g = saxpy();
-        let sched = BsaScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = bsa(&machine).schedule(&g).unwrap();
         assert_valid(&g, &sched, &machine);
-        let unified = SmsScheduler::new(&machine.unified_counterpart())
-            .schedule(&g)
-            .unwrap();
+        let unified = Policy::UnifiedSms.schedule(&machine, &g).unwrap().schedule;
         assert_eq!(
             sched.ii(),
             unified.ii(),
@@ -446,7 +376,7 @@ mod tests {
             MachineConfig::four_cluster(2, 2),
             MachineConfig::four_cluster(1, 4),
         ] {
-            let sched = BsaScheduler::new(&machine).schedule(&g).unwrap();
+            let sched = bsa(&machine).schedule(&g).unwrap();
             assert_valid(&g, &sched, &machine);
         }
     }
@@ -459,11 +389,9 @@ mod tests {
         // assignment could easily need 2 or more).
         let machine = MachineConfig::two_cluster(2, 1);
         let g = saxpy();
-        let sched = BsaScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = bsa(&machine).schedule(&g).unwrap();
         assert_valid(&g, &sched, &machine);
-        let unified = SmsScheduler::new(&machine.unified_counterpart())
-            .schedule(&g)
-            .unwrap();
+        let unified = Policy::UnifiedSms.schedule(&machine, &g).unwrap().schedule;
         assert_eq!(sched.ii(), unified.ii());
         assert!(
             sched.comms().len() <= 1,
@@ -489,7 +417,7 @@ mod tests {
             .flow("b1", "b2")
             .flow("b2", "b3")
             .build();
-        let sched = BsaScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = bsa(&machine).schedule(&g).unwrap();
         assert_valid(&g, &sched, &machine);
         let cluster_a = sched.cluster_of(g.node_ids().next().unwrap()).unwrap();
         let cluster_b = sched.cluster_of(vliw_ddg::NodeId(3)).unwrap();
@@ -504,7 +432,7 @@ mod tests {
         let machine = MachineConfig::two_cluster(1, 1);
         let g = saxpy();
         let unrolled = vliw_ddg::unroll(&g, 2);
-        let sched = BsaScheduler::new(&machine).schedule(&unrolled).unwrap();
+        let sched = bsa(&machine).schedule(&unrolled).unwrap();
         assert_valid(&unrolled, &sched, &machine);
         let copy0_cluster = sched.cluster_of(vliw_ddg::NodeId(0)).unwrap();
         let copy1_cluster = sched
@@ -546,12 +474,12 @@ mod tests {
         // MII is 2 (ResMII = 6/4, RecMII = 3/2); the paper shows the non-unrolled loop
         // needs II = 3 on this machine while the unrolled-by-2 loop reaches its minimum
         // II of 4 (i.e. 2 per original iteration).
-        let bsa = BsaScheduler::new(&machine);
-        let plain = bsa.schedule(&g).unwrap();
+        let scheduler = bsa(&machine);
+        let plain = scheduler.schedule(&g).unwrap();
         assert_valid(&g, &plain, &machine);
         assert!(plain.ii() >= 2);
         let unrolled = vliw_ddg::unroll(&g, 2);
-        let unrolled_sched = bsa.schedule(&unrolled).unwrap();
+        let unrolled_sched = scheduler.schedule(&unrolled).unwrap();
         assert_valid(&unrolled, &unrolled_sched, &machine);
         // Per original iteration the unrolled schedule must be at least as good.
         assert!(
@@ -567,10 +495,10 @@ mod tests {
         // A loop too wide for one cluster (forces communication): higher bus latency
         // must never *reduce* the II.
         let g = wide_loop();
-        let fast = BsaScheduler::new(&MachineConfig::four_cluster(1, 1))
+        let fast = bsa(&MachineConfig::four_cluster(1, 1))
             .schedule(&g)
             .unwrap();
-        let slow = BsaScheduler::new(&MachineConfig::four_cluster(1, 4))
+        let slow = bsa(&MachineConfig::four_cluster(1, 4))
             .schedule(&g)
             .unwrap();
         assert!(slow.ii() >= fast.ii());
@@ -579,10 +507,10 @@ mod tests {
     #[test]
     fn more_buses_never_hurt() {
         let g = wide_loop();
-        let one_bus = BsaScheduler::new(&MachineConfig::four_cluster(1, 2))
+        let one_bus = bsa(&MachineConfig::four_cluster(1, 2))
             .schedule(&g)
             .unwrap();
-        let two_bus = BsaScheduler::new(&MachineConfig::four_cluster(2, 2))
+        let two_bus = bsa(&MachineConfig::four_cluster(2, 2))
             .schedule(&g)
             .unwrap();
         assert!(two_bus.ii() <= one_bus.ii());
@@ -622,8 +550,8 @@ mod tests {
             .flow_at("E", "D", 1)
             .flow_at("D", "A", 1)
             .build();
-        let bsa = BsaScheduler::new(&machine);
-        let first = bsa.schedule(&g).unwrap();
+        let scheduler = bsa(&machine);
+        let first = scheduler.schedule(&g).unwrap();
         assert_valid(&g, &first, &machine);
         // The back-off path was genuinely taken: the II had to be raised above MII
         // *because of the bus*, which is exactly the `LimitedByBus` predicate.
@@ -631,14 +559,14 @@ mod tests {
         assert!(first.limited_by_bus);
         // Re-scheduling with the same scheduler and with a fresh one must agree —
         // this catches state leaking across the reused scratch buffers.
-        let second = bsa.schedule(&g).unwrap();
+        let second = scheduler.schedule(&g).unwrap();
         assert_eq!(first, second);
-        let fresh = BsaScheduler::new(&machine).schedule(&g).unwrap();
+        let fresh = bsa(&machine).schedule(&g).unwrap();
         assert_eq!(first, fresh);
         // And a trial that *does* commit communications still rolls back cleanly on
         // the clusters it rejects: the unrolled body schedules with real transfers.
         let unrolled = vliw_ddg::unroll(&g, 2);
-        let usched = bsa.schedule(&unrolled).unwrap();
+        let usched = scheduler.schedule(&unrolled).unwrap();
         assert_valid(&unrolled, &usched, &machine);
     }
 
@@ -648,8 +576,8 @@ mod tests {
         let g = wide_loop();
         let mut roomy = machine.clone();
         roomy.cluster.registers = 1 << 20;
-        let relaxed = BsaScheduler::new(&roomy);
-        let strict = BsaScheduler::new(&machine);
+        let relaxed = bsa(&roomy);
+        let strict = bsa(&machine);
         let r = relaxed.schedule(&g).unwrap();
         let s = strict.schedule(&g).unwrap();
         assert!(s.ii() >= r.ii());
@@ -662,7 +590,7 @@ mod tests {
         let a = g.add_node(OpClass::IntAlu);
         g.add_edge(a, a, 1, 0, DepKind::Flow);
         assert!(matches!(
-            BsaScheduler::new(&machine).schedule(&g),
+            bsa(&machine).schedule(&g),
             Err(ScheduleError::InvalidGraph(_))
         ));
     }
@@ -670,15 +598,15 @@ mod tests {
     #[test]
     fn empty_graph_schedules() {
         let machine = MachineConfig::four_cluster(1, 1);
-        let sched = BsaScheduler::new(&machine)
-            .schedule(&DepGraph::new("empty"))
-            .unwrap();
+        let sched = bsa(&machine).schedule(&DepGraph::new("empty")).unwrap();
         assert!(sched.is_complete());
     }
 
     #[test]
     fn loop_scheduler_trait_name() {
         let machine = MachineConfig::two_cluster(1, 1);
-        assert_eq!(LoopScheduler::name(&BsaScheduler::new(&machine)), "bsa");
+        let scheduler = bsa(&machine);
+        assert_eq!(scheduler.policy(), Policy::Bsa);
+        assert_eq!(LoopScheduler::machine(&scheduler), &machine);
     }
 }

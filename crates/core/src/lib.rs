@@ -3,11 +3,21 @@
 //! This crate implements the contribution of *"The Effectiveness of Loop Unrolling for
 //! Modulo Scheduling in Clustered VLIW Architectures"* (Sánchez & González, ICPP 2000):
 //!
-//! * [`BsaScheduler`] — the **Basic Scheduling Algorithm** of Figure 5, a modulo
-//!   scheduler that performs cluster assignment and instruction scheduling in a single
-//!   pass, choosing for every node the cluster that minimises the outgoing
-//!   communication edges while a functional-unit slot, the needed bus transfers and the
-//!   register file all fit;
+//! * [`Policy`] / [`Scheduler`] — the one way to name and run a scheduler.  The five
+//!   policies share the II search of [`vliw_sms::IiSearchDriver`] and differ only in
+//!   the cluster each node goes to:
+//!   * [`Policy::Bsa`] — the **Basic Scheduling Algorithm** of Figure 5
+//!     ([`bsa::BsaPolicy`]), which performs cluster assignment and instruction
+//!     scheduling in a single pass, choosing for every node the cluster that
+//!     minimises the outgoing communication edges while a functional-unit slot, the
+//!     needed bus transfers and the register file all fit;
+//!   * [`Policy::NystromEichenberger`] — the two-phase (cluster assignment, then
+//!     scheduling) baseline in the style of Nystrom & Eichenberger used for the
+//!     comparison in Figure 4 ([`ne::NePolicy`]);
+//!   * [`Policy::UnifiedSms`] — the unified-machine SMS reference every IPC is
+//!     measured against;
+//!   * [`Policy::RoundRobin`] / [`Policy::LoadBalanced`] — the ablations of
+//!     [`ablation`];
 //! * [`SelectiveUnroller`] / [`UnrollPolicy`] — the loop-unrolling policies of
 //!   Section 5.2, including the **selective unrolling** heuristic of Figure 6 that
 //!   unrolls (by the number of clusters) only the loops whose schedule is limited by
@@ -15,15 +25,15 @@
 //!   (`Fixed(u)` with exact remainder accounting, and `Explore { max_factor }`,
 //!   which schedules candidate factors and keeps the best one under a code-size
 //!   budget);
-//! * [`NeScheduler`] — the two-phase (cluster assignment, then scheduling) baseline in
-//!   the style of Nystrom & Eichenberger used for the comparison in Figure 4;
+//! * [`ResilientScheduler`] — a degradation ladder over the policies that always
+//!   returns a certified schedule or a typed error;
 //! * [`ClusterSchedule`] / [`LoopScheduler`] — result type and scheduler abstraction
 //!   shared by the experiment harness.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use cvliw_core::{BsaScheduler, SelectiveUnroller, UnrollPolicy};
+//! use cvliw_core::{Policy, Scheduler, SelectiveUnroller, UnrollPolicy};
 //! use vliw_arch::{MachineConfig, OpClass};
 //! use vliw_ddg::GraphBuilder;
 //!
@@ -44,10 +54,14 @@
 //!     .flow("add", "st")
 //!     .build();
 //!
-//! let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+//! let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
 //! let result = driver.schedule_with_policy(&graph, UnrollPolicy::Selective).unwrap();
 //! assert!(result.schedule.is_complete());
 //! assert!(result.ipc() > 0.0);
+//!
+//! // The unified-machine reference, on the machine's unified counterpart.
+//! let unified = Policy::UnifiedSms.schedule(&machine, &graph).unwrap();
+//! assert!(unified.schedule.is_complete());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,18 +70,14 @@
 
 pub mod ablation;
 pub mod bsa;
-pub mod comm;
 pub mod ne;
 pub mod resilient;
 pub mod result;
+pub mod scheduler;
 pub mod unroll_policy;
 
-pub use ablation::{load_balanced_assignment, LoadBalancedScheduler, RoundRobinScheduler};
-pub use bsa::BsaScheduler;
-pub use comm::{allocate_comms, required_comms, CommAllocation, CommRequest};
-pub use ne::NeScheduler;
-pub use resilient::{
-    LadderFailure, ResilientOutcome, ResilientScheduler, RungError, RungFailure, FALLBACK_RUNGS,
-};
+pub use ablation::load_balanced_assignment;
+pub use resilient::{LadderFailure, ResilientOutcome, ResilientScheduler, RungError, RungFailure};
 pub use result::{ClusterSchedule, LoopScheduler, RemainderEpilogue};
+pub use scheduler::{Policy, Scheduler};
 pub use unroll_policy::{SelectiveUnroller, UnrollPolicy, DEFAULT_EXPLORE_CODE_GROWTH};

@@ -21,54 +21,47 @@
 //!   clusters" is avoided by capping the load at a fraction of the capacity, as N&E
 //!   do); the cap is relaxed if no cluster is eligible.
 //!
-//! The scheduling phase is the shared engine ([`IiSearchDriver`]) with the cluster
+//! The scheduling phase is the shared engine ([`vliw_sms::IiSearchDriver`]) with the cluster
 //! forced through [`NePolicy`] (a [`FixedAssignmentPolicy`] whose assignment is
 //! recomputed at every candidate II, since the fill cap depends on the II); the
 //! crucial difference — and the one responsible for the Figure 4 gap — is that the
 //! assignment was made without seeing the partial schedule or the bus occupancy.
 
-use crate::result::LoopScheduler;
 use vliw_arch::{FuKind, MachineConfig};
 use vliw_ddg::{sccs, DepGraph, NodeId};
-use vliw_sms::{
-    ClusterPolicy, EngineView, FixedAssignmentPolicy, IiSearchDriver, ModuloSchedule,
-    ScheduleError, ScheduledLoop, Trial,
-};
+use vliw_sms::{ClusterPolicy, EngineView, FixedAssignmentPolicy, Trial};
 
 /// Fraction of a cluster's capacity the assignment phase is willing to fill before
 /// looking at other clusters (N&E avoid aggressively filling clusters).
 const FILL_CAP: f64 = 0.85;
 
-/// Two-phase (assign, then schedule) modulo scheduler, in the style of Nystrom &
-/// Eichenberger.  Per-cluster register pressure is checked during scheduling, as in
-/// BSA.
-#[derive(Debug, Clone)]
-pub struct NeScheduler {
-    machine: MachineConfig,
-}
-
 /// The [`ClusterPolicy`] of the two-phase baseline: recompute the phase-1 assignment
 /// at every candidate II, then force each node onto its assigned cluster.
-pub struct NePolicy<'s> {
-    scheduler: &'s NeScheduler,
+/// Per-cluster register pressure is checked during scheduling, as in BSA.
+#[derive(Debug, Clone)]
+pub struct NePolicy {
     /// The SCC condensation in topological order: it depends only on the graph, so
     /// it is computed once per loop, not once per II.
     components: Vec<Vec<NodeId>>,
     fixed: FixedAssignmentPolicy,
 }
 
-impl ClusterPolicy for NePolicy<'_> {
-    fn name(&self) -> &'static str {
-        "nystrom-eichenberger"
+impl NePolicy {
+    /// The two-phase policy for scheduling `graph`.
+    pub fn new(graph: &DepGraph) -> Self {
+        Self {
+            components: topological_components(graph),
+            fixed: FixedAssignmentPolicy::new(Vec::new()),
+        }
     }
+}
 
-    fn begin_ii(&mut self, graph: &DepGraph, _machine: &MachineConfig, ii: u32) {
+impl ClusterPolicy for NePolicy {
+    fn begin_ii(&mut self, graph: &DepGraph, machine: &MachineConfig, ii: u32) {
         // Phase 1 is redone at every II, exactly as N&E restart both phases when
         // scheduling fails (the fill cap depends on the II; the condensation does not).
-        self.fixed.set_assignment(
-            self.scheduler
-                .assign_components(graph, &self.components, ii),
-        );
+        self.fixed
+            .set_assignment(assign_components(machine, graph, &self.components, ii));
     }
 
     fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
@@ -76,147 +69,91 @@ impl ClusterPolicy for NePolicy<'_> {
     }
 }
 
-impl NeScheduler {
-    /// A two-phase scheduler for `machine`.
-    pub fn new(machine: &MachineConfig) -> Self {
-        Self {
-            machine: machine.clone(),
-        }
+/// Phase 1: partition the nodes of `graph` across the clusters of `machine` at
+/// initiation interval `ii` (see module docs).
+pub fn assign_clusters(machine: &MachineConfig, graph: &DepGraph, ii: u32) -> Vec<usize> {
+    assign_components(machine, graph, &topological_components(graph), ii)
+}
+
+/// [`assign_clusters`] over a precomputed condensation (the SCCs in topological
+/// order), so an II search derives it once instead of per retry.
+fn assign_components(
+    machine: &MachineConfig,
+    graph: &DepGraph,
+    components: &[Vec<NodeId>],
+    ii: u32,
+) -> Vec<usize> {
+    let n_clusters = machine.n_clusters;
+    let mut assignment = vec![usize::MAX; graph.n_nodes()];
+    if n_clusters <= 1 {
+        // Zero clusters is rejected by the engine before any policy runs; one
+        // cluster has a single possible assignment.  Either way there is nothing
+        // to partition (and the affinity selection below would have no candidate).
+        return vec![0; graph.n_nodes()];
     }
 
-    /// The machine being scheduled for.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
+    // Per-cluster, per-kind load (in reservation slots) and capacity.
+    let mut load = vec![[0usize; 3]; n_clusters];
+    let capacity: [usize; 3] = [
+        machine.cluster.fu_count(FuKind::Int) * ii as usize,
+        machine.cluster.fu_count(FuKind::Fp) * ii as usize,
+        machine.cluster.fu_count(FuKind::Mem) * ii as usize,
+    ];
+    let mut affinity = vec![0i64; n_clusters];
 
-    /// Modulo schedule `graph` with the two-phase approach.
-    pub fn schedule(&self, graph: &DepGraph) -> Result<ModuloSchedule, ScheduleError> {
-        self.schedule_diag(graph).map(|out| out.schedule)
-    }
-
-    /// Like [`NeScheduler::schedule`], but also return the engine's
-    /// [`vliw_sms::ScheduleDiagnostics`].
-    pub fn schedule_diag(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        let mut policy = NePolicy {
-            scheduler: self,
-            components: topological_components(graph),
-            fixed: FixedAssignmentPolicy::new("nystrom-eichenberger", Vec::new()),
-        };
-        IiSearchDriver::new(&self.machine).schedule(graph, &mut policy)
-    }
-
-    /// Modulo schedule `graph` with a *fixed*, caller-supplied cluster assignment
-    /// (one cluster index per node).  This is the building block for the ablation
-    /// schedulers in [`crate::ablation`]: any assignment policy can be plugged in
-    /// front of the same engine.
-    pub fn schedule_with_assignment(
-        &self,
-        graph: &DepGraph,
-        assignment: &[usize],
-    ) -> Result<ScheduledLoop, ScheduleError> {
-        if assignment.len() != graph.n_nodes() {
-            return Err(ScheduleError::RoguePolicy(format!(
-                "fixed assignment covers {} nodes but the graph has {}",
-                assignment.len(),
-                graph.n_nodes()
-            )));
-        }
-        if let Some(&c) = assignment.iter().find(|&&c| c >= self.machine.n_clusters) {
-            return Err(ScheduleError::RoguePolicy(format!(
-                "fixed assignment references cluster {c} on a {}-cluster machine",
-                self.machine.n_clusters
-            )));
-        }
-        let mut policy = FixedAssignmentPolicy::new("fixed-assignment", assignment.to_vec());
-        IiSearchDriver::new(&self.machine).schedule(graph, &mut policy)
-    }
-
-    /// Phase 1: partition the nodes across the clusters (see module docs).
-    pub fn assign_clusters(&self, graph: &DepGraph, ii: u32) -> Vec<usize> {
-        self.assign_components(graph, &topological_components(graph), ii)
-    }
-
-    /// [`NeScheduler::assign_clusters`] over a precomputed condensation (the SCCs in
-    /// topological order), so an II search derives it once instead of per retry.
-    fn assign_components(
-        &self,
-        graph: &DepGraph,
-        components: &[Vec<NodeId>],
-        ii: u32,
-    ) -> Vec<usize> {
-        let machine = &self.machine;
-        let n_clusters = machine.n_clusters;
-        let mut assignment = vec![usize::MAX; graph.n_nodes()];
-        if n_clusters <= 1 {
-            // Zero clusters is rejected by the engine before any policy runs; one
-            // cluster has a single possible assignment.  Either way there is nothing
-            // to partition (and the affinity selection below would have no candidate).
-            return vec![0; graph.n_nodes()];
+    for component in components {
+        // Demand of the whole component.
+        let mut demand = [0usize; 3];
+        for &n in component {
+            demand[graph.node(n).class.fu_kind().index()] += 1;
         }
 
-        // Per-cluster, per-kind load (in reservation slots) and capacity.
-        let mut load = vec![[0usize; 3]; n_clusters];
-        let capacity: [usize; 3] = [
-            machine.cluster.fu_count(FuKind::Int) * ii as usize,
-            machine.cluster.fu_count(FuKind::Fp) * ii as usize,
-            machine.cluster.fu_count(FuKind::Mem) * ii as usize,
-        ];
-        let mut affinity = vec![0i64; n_clusters];
-
-        for component in components {
-            // Demand of the whole component.
-            let mut demand = [0usize; 3];
-            for &n in component {
-                demand[graph.node(n).class.fu_kind().index()] += 1;
-            }
-
-            // Affinity: value edges between the component and nodes already assigned to
-            // each cluster (either direction).  The component's own nodes are still
-            // unassigned, so edges inside it never count.
-            affinity.fill(0);
-            for &n in component {
-                let outgoing = graph.out_edges(n).map(|e| (e, e.dst));
-                let incoming = graph.in_edges(n).map(|e| (e, e.src));
-                for (e, other) in outgoing.chain(incoming) {
-                    let c = assignment[other.index()];
-                    if e.kind.carries_value() && c != usize::MAX {
-                        affinity[c] += 1;
-                    }
+        // Affinity: value edges between the component and nodes already assigned to
+        // each cluster (either direction).  The component's own nodes are still
+        // unassigned, so edges inside it never count.
+        affinity.fill(0);
+        for &n in component {
+            let outgoing = graph.out_edges(n).map(|e| (e, e.dst));
+            let incoming = graph.in_edges(n).map(|e| (e, e.src));
+            for (e, other) in outgoing.chain(incoming) {
+                let c = assignment[other.index()];
+                if e.kind.carries_value() && c != usize::MAX {
+                    affinity[c] += 1;
                 }
             }
-
-            // Eligible clusters: those that stay under the fill cap for every kind.
-            let eligible = |c: usize, relaxed: bool| {
-                (0..3).all(|k| {
-                    if capacity[k] == 0 {
-                        return demand[k] == 0;
-                    }
-                    let cap = if relaxed {
-                        capacity[k]
-                    } else {
-                        (((capacity[k] as f64) * FILL_CAP).floor() as usize).max(1)
-                    };
-                    load[c][k] + demand[k] <= cap
-                })
-            };
-            let best = |filter: &dyn Fn(usize) -> bool| {
-                (0..n_clusters).filter(|&c| filter(c)).max_by_key(|&c| {
-                    let total_load: i64 = load[c].iter().sum::<usize>() as i64;
-                    (affinity[c], -total_load, -(c as i64))
-                })
-            };
-            let chosen = best(&|c| eligible(c, false))
-                .or_else(|| best(&|c| eligible(c, true)))
-                .or_else(|| best(&|_| true))
-                .expect("at least two clusters");
-
-            for &n in component {
-                assignment[n.index()] = chosen;
-                load[chosen][graph.node(n).class.fu_kind().index()] += 1;
-            }
         }
-        assignment
+
+        // Eligible clusters: those that stay under the fill cap for every kind.
+        let eligible = |c: usize, relaxed: bool| {
+            (0..3).all(|k| {
+                if capacity[k] == 0 {
+                    return demand[k] == 0;
+                }
+                let cap = if relaxed {
+                    capacity[k]
+                } else {
+                    (((capacity[k] as f64) * FILL_CAP).floor() as usize).max(1)
+                };
+                load[c][k] + demand[k] <= cap
+            })
+        };
+        let best = |filter: &dyn Fn(usize) -> bool| {
+            (0..n_clusters).filter(|&c| filter(c)).max_by_key(|&c| {
+                let total_load: i64 = load[c].iter().sum::<usize>() as i64;
+                (affinity[c], -total_load, -(c as i64))
+            })
+        };
+        let chosen = best(&|c| eligible(c, false))
+            .or_else(|| best(&|c| eligible(c, true)))
+            .or_else(|| best(&|_| true))
+            .expect("at least two clusters");
+
+        for &n in component {
+            assignment[n.index()] = chosen;
+            load[chosen][graph.node(n).class.fu_kind().index()] += 1;
+        }
     }
+    assignment
 }
 
 /// Super-nodes: the SCCs in topological order of the condensation (sources first), so
@@ -227,23 +164,10 @@ fn topological_components(graph: &DepGraph) -> Vec<Vec<NodeId>> {
     components
 }
 
-impl LoopScheduler for NeScheduler {
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    fn schedule_loop(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        self.schedule_diag(graph)
-    }
-
-    fn name(&self) -> &'static str {
-        "nystrom-eichenberger"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LoopScheduler, Policy, Scheduler};
     use vliw_arch::OpClass;
     use vliw_ddg::GraphBuilder;
 
@@ -330,13 +254,12 @@ mod tests {
             MachineConfig::two_cluster(1, 1),
             MachineConfig::four_cluster(2, 2),
         ] {
-            let ne = NeScheduler::new(&machine);
             for graph in corpora.iter().flat_map(|c| &c.loops) {
                 let unrolled = vliw_ddg::unroll(graph, machine.n_clusters as u32);
                 for g in [graph, &unrolled] {
                     for ii in [1, 2, 3, 5, 8, 13, 21, 34, 65, 135] {
                         assert_eq!(
-                            ne.assign_clusters(g, ii),
+                            assign_clusters(&machine, g, ii),
                             naive_assign_clusters(&machine, g, ii),
                             "{} ({} nodes) on {} clusters at II {ii}",
                             g.name,
@@ -377,8 +300,7 @@ mod tests {
             .flow_at("b", "a", 1)
             .flow("c", "a")
             .build();
-        let ne = NeScheduler::new(&machine);
-        let assignment = ne.assign_clusters(&g, 7);
+        let assignment = assign_clusters(&machine, &g, 7);
         // a and b form a recurrence: same cluster.
         assert_eq!(assignment[0], assignment[1]);
     }
@@ -387,8 +309,7 @@ mod tests {
     fn assignment_covers_every_node_with_a_valid_cluster() {
         let machine = MachineConfig::four_cluster(1, 1);
         let g = two_independent_chains();
-        let ne = NeScheduler::new(&machine);
-        let assignment = ne.assign_clusters(&g, 2);
+        let assignment = assign_clusters(&machine, &g, 2);
         assert_eq!(assignment.len(), g.n_nodes());
         assert!(assignment.iter().all(|&c| c < machine.n_clusters));
     }
@@ -397,8 +318,7 @@ mod tests {
     fn single_cluster_machine_assigns_everything_to_cluster_zero() {
         let machine = MachineConfig::unified();
         let g = two_independent_chains();
-        let ne = NeScheduler::new(&machine);
-        let assignment = ne.assign_clusters(&g, 1);
+        let assignment = assign_clusters(&machine, &g, 1);
         assert!(assignment.iter().all(|&c| c == 0));
     }
 
@@ -406,8 +326,7 @@ mod tests {
     fn connected_nodes_attract_each_other() {
         let machine = MachineConfig::two_cluster(2, 1);
         let g = two_independent_chains();
-        let ne = NeScheduler::new(&machine);
-        let assignment = ne.assign_clusters(&g, 3);
+        let assignment = assign_clusters(&machine, &g, 3);
         // Each chain should stay within one cluster (affinity beats balance for these
         // tiny loads).
         assert_eq!(assignment[0], assignment[1]);
@@ -420,8 +339,10 @@ mod tests {
     fn schedules_respect_dependences_and_assignment() {
         let machine = MachineConfig::two_cluster(2, 1);
         let g = two_independent_chains();
-        let ne = NeScheduler::new(&machine);
-        let sched = ne.schedule(&g).unwrap();
+        let sched = Policy::NystromEichenberger
+            .schedule(&machine, &g)
+            .unwrap()
+            .schedule;
         assert!(sched.is_complete());
         for e in g.edges() {
             let tu = sched.placement(e.src).unwrap().cycle;
@@ -434,15 +355,20 @@ mod tests {
     fn unified_machine_matches_sms_behaviour() {
         let machine = MachineConfig::unified();
         let g = two_independent_chains();
-        let ne_sched = NeScheduler::new(&machine).schedule(&g).unwrap();
-        let sms_sched = vliw_sms::SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let ne_sched = Scheduler::new(Policy::NystromEichenberger, &machine)
+            .schedule(&g)
+            .unwrap();
+        let sms_sched = Scheduler::new(Policy::UnifiedSms, &machine)
+            .schedule(&g)
+            .unwrap();
         assert_eq!(ne_sched.ii(), sms_sched.ii());
     }
 
     #[test]
     fn loop_scheduler_trait_name() {
         let machine = MachineConfig::two_cluster(1, 1);
-        let ne = NeScheduler::new(&machine);
-        assert_eq!(LoopScheduler::name(&ne), "nystrom-eichenberger");
+        let ne = Scheduler::new(Policy::NystromEichenberger, &machine);
+        assert_eq!(ne.policy(), Policy::NystromEichenberger);
+        assert_eq!(LoopScheduler::machine(&ne), &machine);
     }
 }

@@ -11,38 +11,36 @@
 //!
 //! 1. **primary** — the paper's BSA by default; the fault-injection campaign in
 //!    `vliw-verify` substitutes deliberately sabotaged policies here;
-//! 2. **`unified-sms`** — every node on cluster 0 with the unified scheduler's
-//!    whole-schedule register check, trading all cluster parallelism for the
-//!    certainty that no inter-cluster communication is needed;
-//! 3. **`load-balanced`** — the communication-blind balance-only assignment from
-//!    [`crate::ablation`], which survives pathologies in the communication-aware
-//!    heuristics;
+//! 2. **`unified-sms`** — [`Policy::UnifiedSms`] on the ladder's own machine: every
+//!    node on cluster 0 with the unified scheduler's whole-schedule register check,
+//!    trading all cluster parallelism for the certainty that no inter-cluster
+//!    communication is needed;
+//! 3. **`load-balanced`** — [`Policy::LoadBalanced`], the communication-blind
+//!    balance-only assignment from [`crate::ablation`], which survives pathologies
+//!    in the communication-aware heuristics;
 //! 4. **`sequential`** — a directly *constructed* (not searched) non-pipelined
 //!    schedule: one operation per cycle on cluster 0 in dependence order.  No search
 //!    can fail and no policy code runs, so this rung succeeds whenever the machine
 //!    can execute the graph at all.
 //!
-//! Every rung runs under its own deterministic [`FuelBudget`] slice (when one is
-//! configured), the winning rung and its fuel are recorded in
+//! Rungs are named by [`Policy::label`] (the primary's name is caller-chosen; the
+//! bottom rung is `sequential`).  Every rung runs under its own deterministic
+//! [`FuelBudget`] slice (when one is configured), the winning rung and its fuel are
+//! recorded in
 //! [`ScheduleDiagnostics::rung`] / [`ScheduleDiagnostics::fuel`], and every failed
 //! rung — including every contained panic — is reported in the outcome so a
 //! campaign can assert that no fault escaped silently.
 
-use crate::ablation::load_balanced_assignment;
 use crate::bsa::BsaPolicy;
-use crate::result::LoopScheduler;
+use crate::scheduler::{Policy, Scheduler};
 use std::collections::BTreeSet;
 use std::fmt;
 use vliw_arch::{MachineConfig, ResourcePool};
 use vliw_ddg::{rec_mii, res_mii, DepGraph, NodeId};
 use vliw_sms::{
-    cluster_max_live, contain_schedule, ClusterPolicy, FixedAssignmentPolicy, FuelBudget,
-    IiSearchDriver, LimitingResource, ModuloSchedule, PlacedOp, RegisterCheckMode,
-    ScheduleDiagnostics, ScheduleError, ScheduledLoop,
+    cluster_max_live, contain_schedule, ClusterPolicy, FuelBudget, IiSearchDriver,
+    LimitingResource, ModuloSchedule, PlacedOp, ScheduleDiagnostics, ScheduleError, ScheduledLoop,
 };
-
-/// Rung names, in descent order (the primary rung's name is caller-chosen).
-pub const FALLBACK_RUNGS: [&str; 3] = ["unified-sms", "load-balanced", "sequential"];
 
 /// Why one rung of the ladder was passed over.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,14 +159,9 @@ impl ResilientScheduler {
         self
     }
 
-    /// The machine being scheduled for.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
     /// Run the ladder with BSA as the primary rung.
     pub fn schedule(&self, graph: &DepGraph) -> Result<ResilientOutcome, LadderFailure> {
-        self.schedule_with_primary(&mut BsaPolicy::new(), "bsa", graph)
+        self.schedule_with_primary(&mut BsaPolicy::new(), Policy::Bsa.label(), graph)
     }
 
     /// Run the ladder with a caller-supplied primary policy (the fault-injection
@@ -184,7 +177,11 @@ impl ResilientScheduler {
         let mut failures: Vec<RungFailure> = Vec::new();
 
         // Rung 1: the primary policy on the full clustered engine.
-        match self.engine_rung(graph, primary, RegisterCheckMode::PerPlacement, &certifier) {
+        let mut driver = IiSearchDriver::new(&self.machine);
+        if let Some(fuel) = self.rung_fuel {
+            driver = driver.with_fuel(fuel);
+        }
+        match Self::engine_rung(graph, &certifier, || driver.schedule(graph, primary)) {
             Ok(out) => {
                 return Ok(ResilientOutcome {
                     result: Self::stamp(out, primary_rung),
@@ -202,48 +199,25 @@ impl ResilientScheduler {
             }),
         }
 
-        // Rung 2: everything on cluster 0, with the unified scheduler's
-        // whole-schedule register check.  No communications can be needed.
-        let mut unified = FixedAssignmentPolicy::new("unified-sms", vec![0; graph.n_nodes()]);
-        match self.engine_rung(
-            graph,
-            &mut unified,
-            RegisterCheckMode::WholeSchedule,
-            &certifier,
-        ) {
-            Ok(out) => {
-                return Ok(ResilientOutcome {
-                    result: Self::stamp(out, "unified-sms"),
-                    failures,
-                })
+        // Rungs 2 and 3: everything on cluster 0 (no communications can be needed),
+        // then the communication-blind balance-only assignment.
+        for policy in [Policy::UnifiedSms, Policy::LoadBalanced] {
+            let mut scheduler = Scheduler::new(policy, &self.machine);
+            if let Some(fuel) = self.rung_fuel {
+                scheduler = scheduler.with_fuel(fuel);
             }
-            Err(error) => failures.push(RungFailure {
-                rung: "unified-sms".to_string(),
-                error,
-            }),
-        }
-
-        // Rung 3: the communication-blind balance-only assignment.
-        let mut balanced = FixedAssignmentPolicy::new(
-            "load-balanced",
-            load_balanced_assignment(&self.machine, graph),
-        );
-        match self.engine_rung(
-            graph,
-            &mut balanced,
-            RegisterCheckMode::PerPlacement,
-            &certifier,
-        ) {
-            Ok(out) => {
-                return Ok(ResilientOutcome {
-                    result: Self::stamp(out, "load-balanced"),
-                    failures,
-                })
+            match Self::engine_rung(graph, &certifier, || scheduler.schedule_diag(graph)) {
+                Ok(out) => {
+                    return Ok(ResilientOutcome {
+                        result: Self::stamp(out, policy.label()),
+                        failures,
+                    })
+                }
+                Err(error) => failures.push(RungFailure {
+                    rung: policy.label().to_string(),
+                    error,
+                }),
             }
-            Err(error) => failures.push(RungFailure {
-                rung: "load-balanced".to_string(),
-                error,
-            }),
         }
 
         // Rung 4: the constructed sequential schedule.  `contain` is kept around it
@@ -281,21 +255,14 @@ impl ResilientScheduler {
         out
     }
 
-    /// One searching rung: the shared engine under this ladder's fuel slice, panic
-    /// containment, and the certifier gate.
-    fn engine_rung<P: ClusterPolicy + ?Sized>(
-        &self,
+    /// One searching rung, already under this ladder's fuel slice: panic
+    /// containment and the certifier gate.
+    fn engine_rung(
         graph: &DepGraph,
-        policy: &mut P,
-        mode: RegisterCheckMode,
         certifier: &vliw_lint::Certifier,
+        run: impl FnOnce() -> Result<ScheduledLoop, ScheduleError>,
     ) -> Result<ScheduledLoop, RungError> {
-        let mut driver = IiSearchDriver::new(&self.machine).register_mode(mode);
-        if let Some(fuel) = self.rung_fuel {
-            driver = driver.with_fuel(fuel);
-        }
-        let out =
-            contain_schedule(|| driver.schedule(graph, policy)).map_err(RungError::Schedule)?;
+        let out = contain_schedule(run).map_err(RungError::Schedule)?;
         match Self::certify(certifier, graph, &out.schedule) {
             Ok(()) => Ok(out),
             Err(denies) => Err(RungError::NotCertified { denies }),
@@ -440,22 +407,6 @@ impl ResilientScheduler {
     }
 }
 
-impl LoopScheduler for ResilientScheduler {
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    fn schedule_loop(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        self.schedule(graph)
-            .map(|out| out.result)
-            .map_err(|fail| fail.error)
-    }
-
-    fn name(&self) -> &'static str {
-        "resilient"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,16 +435,13 @@ mod tests {
         let out = ResilientScheduler::new(&machine)
             .schedule(&saxpy())
             .unwrap();
-        assert_eq!(out.rung(), "bsa");
+        assert_eq!(out.rung(), Policy::Bsa.label());
         assert!(out.failures.is_empty());
         assert!(out.result.schedule.is_complete());
     }
 
     struct PanickingPolicy;
     impl ClusterPolicy for PanickingPolicy {
-        fn name(&self) -> &'static str {
-            "panicking"
-        }
         fn select_placement(&mut self, _node: NodeId, _view: &mut EngineView<'_>) -> Option<Trial> {
             panic!("injected policy bug")
         }
@@ -506,7 +454,7 @@ mod tests {
         let out = ResilientScheduler::new(&machine)
             .schedule_with_primary(&mut PanickingPolicy, "sabotaged", &g)
             .unwrap();
-        assert_eq!(out.rung(), "unified-sms");
+        assert_eq!(out.rung(), Policy::UnifiedSms.label());
         assert_eq!(out.contained_panics(), 1);
         assert_eq!(out.failures[0].rung, "sabotaged");
         assert!(matches!(
@@ -517,9 +465,6 @@ mod tests {
 
     struct RefusingPolicy;
     impl ClusterPolicy for RefusingPolicy {
-        fn name(&self) -> &'static str {
-            "refusing"
-        }
         fn select_placement(&mut self, _node: NodeId, _view: &mut EngineView<'_>) -> Option<Trial> {
             None
         }
@@ -532,7 +477,7 @@ mod tests {
         let out = ResilientScheduler::new(&machine)
             .schedule_with_primary(&mut RefusingPolicy, "refuser", &g)
             .unwrap();
-        assert_eq!(out.rung(), "unified-sms");
+        assert_eq!(out.rung(), Policy::UnifiedSms.label());
         assert!(matches!(
             out.failures[0].error,
             RungError::Schedule(ScheduleError::MaxIiExceeded { .. })
@@ -567,7 +512,7 @@ mod tests {
         let machine = MachineConfig::two_cluster(1, 1);
         let g = DepGraph::new("empty");
         let out = ResilientScheduler::new(&machine).schedule(&g).unwrap();
-        assert_eq!(out.rung(), "bsa");
+        assert_eq!(out.rung(), Policy::Bsa.label());
     }
 
     #[test]

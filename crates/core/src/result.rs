@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use vliw_arch::MachineConfig;
 use vliw_ddg::DepGraph;
 use vliw_metrics::{CodeSizeModel, CodeSizeReport};
-use vliw_sms::{ModuloSchedule, ScheduleDiagnostics, ScheduleError, ScheduledLoop, SmsScheduler};
+use vliw_sms::{ModuloSchedule, ScheduleDiagnostics, ScheduleError, ScheduledLoop};
 
 /// The epilogue that drains the `NITER mod U` iterations an exactly-unrolled kernel
 /// does not cover: one invocation of the *original* body's modulo schedule, run
@@ -166,10 +166,9 @@ impl ClusterSchedule {
 
 /// Anything that can modulo-schedule a loop for a fixed machine.
 ///
-/// Implemented by the unified SMS scheduler, the paper's BSA, the N&E baseline and the
-/// ablation schedulers — all of them thin policies on the shared
-/// [`vliw_sms::IiSearchDriver`] — so that unrolling policies and the experiment
-/// harness can be written once.  Scheduling returns a [`ScheduledLoop`]: the schedule
+/// Implemented by [`crate::Scheduler`] — every [`crate::Policy`], all of them thin
+/// strategies on the shared [`vliw_sms::IiSearchDriver`] — so that unrolling
+/// policies and the experiment harness can be written once.  Scheduling returns a [`ScheduledLoop`]: the schedule
 /// plus the engine's [`ScheduleDiagnostics`].
 pub trait LoopScheduler {
     /// The machine being scheduled for.
@@ -177,30 +176,18 @@ pub trait LoopScheduler {
 
     /// Produce a modulo schedule of `graph`, with diagnostics.
     fn schedule_loop(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError>;
-
-    /// Human-readable name of the scheduling algorithm (used in experiment reports).
-    fn name(&self) -> &'static str;
-}
-
-impl LoopScheduler for SmsScheduler {
-    fn machine(&self) -> &MachineConfig {
-        self.machine()
-    }
-
-    fn schedule_loop(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        self.schedule_diag(graph)
-    }
-
-    fn name(&self) -> &'static str {
-        "unified-sms"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Policy, Scheduler};
     use vliw_arch::OpClass;
     use vliw_ddg::GraphBuilder;
+
+    fn sms(machine: &MachineConfig) -> Scheduler {
+        Scheduler::new(Policy::UnifiedSms, machine)
+    }
 
     fn small_loop() -> DepGraph {
         GraphBuilder::new("small")
@@ -218,7 +205,7 @@ mod tests {
     fn ipc_accounts_original_ops_only() {
         let machine = MachineConfig::unified();
         let g = small_loop();
-        let sched = SmsScheduler::new(&machine).schedule_diag(&g).unwrap();
+        let sched = sms(&machine).schedule_diag(&g).unwrap();
         let cs = ClusterSchedule::from_original(&g, sched);
         assert_eq!(cs.unroll_factor, 1);
         assert_eq!(cs.total_useful_ops(), 3 * 100 * 3);
@@ -231,9 +218,7 @@ mod tests {
         let machine = MachineConfig::unified();
         let g = small_loop();
         let unrolled = vliw_ddg::unroll(&g, 2);
-        let sched = SmsScheduler::new(&machine)
-            .schedule_diag(&unrolled)
-            .unwrap();
+        let sched = sms(&machine).schedule_diag(&unrolled).unwrap();
         let cs = ClusterSchedule::from_unrolled(&g, unrolled, sched, 2);
         assert_eq!(cs.unroll_factor, 2);
         // Useful work is unchanged by unrolling.
@@ -245,9 +230,9 @@ mod tests {
     #[test]
     fn scheduler_trait_is_object_safe() {
         let machine = MachineConfig::unified();
-        let sms = SmsScheduler::new(&machine);
+        let sms = sms(&machine);
         let as_dyn: &dyn LoopScheduler = &sms;
-        assert_eq!(as_dyn.name(), "unified-sms");
+        assert_eq!(as_dyn.machine(), &machine);
         let g = small_loop();
         assert!(as_dyn.schedule_loop(&g).is_ok());
     }
@@ -256,7 +241,7 @@ mod tests {
     fn cluster_schedule_carries_the_engine_diagnostics() {
         let machine = MachineConfig::unified();
         let g = small_loop();
-        let sched = SmsScheduler::new(&machine).schedule_diag(&g).unwrap();
+        let sched = sms(&machine).schedule_diag(&g).unwrap();
         let cs = ClusterSchedule::from_original(&g, sched);
         assert_eq!(cs.diagnostics.ii, cs.schedule.ii());
         assert_eq!(cs.diagnostics.n_comms, cs.schedule.comms().len());

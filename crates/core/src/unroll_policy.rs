@@ -356,7 +356,7 @@ impl<S: LoopScheduler> SelectiveUnroller<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsa::BsaScheduler;
+    use crate::{Policy, Scheduler};
     use vliw_arch::{BusConfig, MachineConfig, OpClass};
     use vliw_ddg::GraphBuilder;
     use vliw_sms::{ModuloSchedule, ScheduleDiagnostics, ScheduledLoop};
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn no_unrolling_keeps_factor_one() {
         let machine = MachineConfig::two_cluster(1, 1);
-        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
         let g = parallel_loop();
         let r = driver.schedule_with_policy(&g, UnrollPolicy::None).unwrap();
         assert_eq!(r.unroll_factor, 1);
@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn by_clusters_policy_unrolls_by_cluster_count() {
         let machine = MachineConfig::four_cluster(1, 1);
-        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
         let g = parallel_loop();
         let r = driver
             .schedule_with_policy(&g, UnrollPolicy::ByClusters)
@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn by_clusters_policy_on_unified_machine_is_a_no_op() {
         let machine = MachineConfig::unified();
-        let driver = SelectiveUnroller::new(vliw_sms::SmsScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::UnifiedSms, &machine));
         let g = parallel_loop();
         let r = driver
             .schedule_with_policy(&g, UnrollPolicy::ByClusters)
@@ -437,7 +437,7 @@ mod tests {
         // With 2 buses of latency 1 the parallel loop is not bus limited, so the
         // selective policy must not unroll it.
         let machine = MachineConfig::two_cluster(2, 1);
-        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
         let g = parallel_loop();
         let r = driver
             .schedule_with_policy(&g, UnrollPolicy::Selective)
@@ -450,7 +450,7 @@ mod tests {
         // On a bus-starved machine the selective policy must perform at least as well
         // as never unrolling (same loop, same scheduler).
         let machine = MachineConfig::four_cluster(1, 2);
-        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
         let g = parallel_loop();
         let none = driver.schedule_with_policy(&g, UnrollPolicy::None).unwrap();
         let sel = driver
@@ -468,7 +468,7 @@ mod tests {
     fn unroll_factor_tracks_cluster_count() {
         for n in [2usize, 4] {
             let machine = MachineConfig::clustered(n, 1, 1);
-            let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+            let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
             assert_eq!(driver.unroll_factor(), n as u32);
         }
     }
@@ -480,7 +480,7 @@ mod tests {
     #[test]
     fn fixed_policy_models_the_remainder_exactly() {
         let machine = MachineConfig::two_cluster(2, 1);
-        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
         let g = parallel_loop().with_iterations(100);
         let r = driver
             .schedule_with_policy(&g, UnrollPolicy::Fixed(3))
@@ -494,7 +494,7 @@ mod tests {
         // schedules of the kernel and the original body (scheduling is
         // deterministic): cycles = (33 + SC_k − 1)·II_k + (1 + SC_o − 1)·II_o,
         // useful ops = the original 6 ops × 100 iterations.
-        let scheduler = BsaScheduler::new(&machine);
+        let scheduler = Scheduler::new(Policy::Bsa, &machine);
         let kernel = scheduler
             .schedule_loop(&vliw_ddg::unroll_exact(&g, 3).kernel)
             .unwrap();
@@ -513,7 +513,7 @@ mod tests {
     #[test]
     fn fixed_policy_with_a_dividing_factor_has_no_epilogue() {
         let machine = MachineConfig::two_cluster(2, 1);
-        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
         let g = parallel_loop(); // 400 iterations
         let r = driver
             .schedule_with_policy(&g, UnrollPolicy::Fixed(4))
@@ -526,7 +526,7 @@ mod tests {
     #[test]
     fn fixed_policy_degenerate_factors_fall_back_to_the_original() {
         let machine = MachineConfig::two_cluster(2, 1);
-        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
         let g = parallel_loop().with_iterations(5);
         for factor in [0u32, 1, 6, 100] {
             let r = driver
@@ -543,7 +543,7 @@ mod tests {
             MachineConfig::two_cluster(1, 1),
             MachineConfig::four_cluster(1, 2),
         ] {
-            let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+            let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
             let g = parallel_loop();
             let none = driver.schedule_with_policy(&g, UnrollPolicy::None).unwrap();
             let explored = driver
@@ -566,8 +566,8 @@ mod tests {
         // A zero budget rules every unrolled candidate out: the winner must be the
         // factor-1 schedule no matter how profitable unrolling would be.
         let machine = MachineConfig::four_cluster(1, 1);
-        let driver =
-            SelectiveUnroller::new(BsaScheduler::new(&machine)).with_explore_code_growth(0.0);
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine))
+            .with_explore_code_growth(0.0);
         let g = parallel_loop();
         let r = driver
             .schedule_with_policy(&g, UnrollPolicy::Explore { max_factor: 8 })
@@ -578,7 +578,7 @@ mod tests {
     #[test]
     fn explore_with_trivial_max_factor_is_none() {
         let machine = MachineConfig::two_cluster(1, 1);
-        let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+        let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
         let g = parallel_loop();
         let none = driver.schedule_with_policy(&g, UnrollPolicy::None).unwrap();
         let r = driver
@@ -616,10 +616,6 @@ mod tests {
                     rung: None,
                 },
             })
-        }
-
-        fn name(&self) -> &'static str {
-            "stub"
         }
     }
 

@@ -434,7 +434,7 @@ impl Certifier {
 mod tests {
     use super::*;
     use vliw_arch::OpClass;
-    use vliw_sms::SmsScheduler;
+    use vliw_sms::IiSearchDriver;
 
     fn saxpy() -> DepGraph {
         use vliw_ddg::GraphBuilder;
@@ -456,7 +456,10 @@ mod tests {
     fn a_correct_schedule_is_certified() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = IiSearchDriver::new(&machine)
+            .schedule_unified(&g)
+            .unwrap()
+            .schedule;
         let report = Certifier::new(&machine).check(&g, &sched, 8);
         assert!(report.is_certified(), "{:?}", report.diagnostics);
         assert_eq!(report.loop_name, "saxpy");

@@ -91,7 +91,7 @@ pub fn ncycles_drift_ok(drift: i128, ii: u32, max_latency: u32) -> bool {
 mod tests {
     use super::*;
     use vliw_arch::OpClass;
-    use vliw_sms::SmsScheduler;
+    use vliw_sms::IiSearchDriver;
 
     fn saxpy() -> DepGraph {
         use vliw_ddg::GraphBuilder;
@@ -113,7 +113,10 @@ mod tests {
     fn stage_count_matches_the_schedule_derivation() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = IiSearchDriver::new(&machine)
+            .schedule_unified(&g)
+            .unwrap()
+            .schedule;
         assert_eq!(static_stage_count(&sched), sched.stage_count());
     }
 
@@ -121,7 +124,10 @@ mod tests {
     fn ncycles_matches_cycles_for() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = IiSearchDriver::new(&machine)
+            .schedule_unified(&g)
+            .unwrap()
+            .schedule;
         for iters in [1u64, 4, 40, 64] {
             assert_eq!(static_ncycles(&sched, iters), sched.cycles_for(iters));
         }

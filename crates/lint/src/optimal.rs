@@ -450,22 +450,8 @@ impl<'a> Dfs<'a> {
                 }
                 tried_fresh = true;
             }
-            let early = early_start(
-                self.graph,
-                &self.sched,
-                node,
-                self.ii,
-                Some(cluster),
-                bus_latency,
-            );
-            let late = late_start(
-                self.graph,
-                &self.sched,
-                node,
-                self.ii,
-                Some(cluster),
-                bus_latency,
-            );
+            let early = early_start(self.graph, &self.sched, node, self.ii, cluster, bus_latency);
+            let late = late_start(self.graph, &self.sched, node, self.ii, cluster, bus_latency);
             let (lo, hi) = match (early, late) {
                 // Fully bounded: scan the whole dependence window — complete.
                 (Some(e), Some(l)) => (e, l),

@@ -112,7 +112,15 @@ mod tests {
     use super::*;
     use vliw_arch::{MachineConfig, OpClass};
     use vliw_ddg::GraphBuilder;
-    use vliw_sms::SmsScheduler;
+    use vliw_sms::IiSearchDriver;
+
+    /// The unified-machine SMS reference schedule of `g`.
+    fn sms(machine: &MachineConfig, g: &vliw_ddg::DepGraph) -> ModuloSchedule {
+        IiSearchDriver::new(machine)
+            .schedule_unified(g)
+            .unwrap()
+            .schedule
+    }
 
     fn saxpy() -> vliw_ddg::DepGraph {
         GraphBuilder::new("saxpy")
@@ -133,7 +141,7 @@ mod tests {
     fn loop_size_matches_the_closed_form() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let report = CodeSizeModel::new(&machine).loop_size(&sched, g.n_nodes());
         let ii = sched.ii() as u64;
         let sc = sched.stage_count() as u64;
@@ -149,7 +157,7 @@ mod tests {
         // the closed form.
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let sc = sched.stage_count() as u64;
         let expanded = sched.expanded_program(&g, &machine, sc);
         let report = CodeSizeModel::new(&machine).loop_size(&sched, g.n_nodes());
@@ -162,7 +170,7 @@ mod tests {
         // per useful op relative to the machine width.
         let unified = MachineConfig::unified();
         let g = saxpy();
-        let sched_wide = SmsScheduler::new(&unified).schedule(&g).unwrap();
+        let sched_wide = sms(&unified, &g);
         let wide = CodeSizeModel::new(&unified).loop_size(&sched_wide, g.n_nodes());
 
         let narrow_machine = MachineConfig::new(
@@ -172,7 +180,7 @@ mod tests {
             vliw_arch::BusConfig::none(),
             vliw_arch::LatencyModel::table1(),
         );
-        let sched_narrow = SmsScheduler::new(&narrow_machine).schedule(&g).unwrap();
+        let sched_narrow = sms(&narrow_machine, &g);
         let narrow = CodeSizeModel::new(&narrow_machine).loop_size(&sched_narrow, g.n_nodes());
 
         let wide_nop_ratio = wide.nops() as f64 / wide.total_slots as f64;
@@ -186,7 +194,7 @@ mod tests {
         let machine = MachineConfig::unified();
         let g = saxpy();
         let unrolled = vliw_ddg::unroll(&g, 2);
-        let sched = SmsScheduler::new(&machine).schedule(&unrolled).unwrap();
+        let sched = sms(&machine, &unrolled);
         let report = CodeSizeModel::new(&machine).loop_size(&sched, unrolled.n_nodes());
         assert_eq!(
             report.useful_ops,
@@ -208,10 +216,10 @@ mod tests {
             MachineConfig::four_cluster(1, 2),
         ] {
             let model = CodeSizeModel::new(&machine);
-            let scheduler = SmsScheduler::new(&machine.unified_counterpart());
+            let unified = machine.unified_counterpart();
             for factor in 1..=6u32 {
                 let unrolled = vliw_ddg::unroll(&saxpy(), factor);
-                let sched = scheduler.schedule(&unrolled).unwrap();
+                let sched = sms(&unified, &unrolled);
                 let report = model.loop_size(&sched, unrolled.n_nodes());
                 assert!(
                     report.useful_ops <= report.total_slots,

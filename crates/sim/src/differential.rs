@@ -187,7 +187,15 @@ mod tests {
     use super::*;
     use vliw_arch::{FuKind, OpClass, ResourcePool};
     use vliw_ddg::{DepKind, GraphBuilder};
-    use vliw_sms::{PlacedOp, SmsScheduler};
+    use vliw_sms::{IiSearchDriver, PlacedOp};
+
+    /// The unified-machine SMS reference schedule of `g`.
+    fn sms(machine: &MachineConfig, g: &DepGraph) -> ModuloSchedule {
+        IiSearchDriver::new(machine)
+            .schedule_unified(g)
+            .unwrap()
+            .schedule
+    }
 
     fn saxpy() -> DepGraph {
         GraphBuilder::new("saxpy")
@@ -237,7 +245,7 @@ mod tests {
     fn a_correct_schedule_checks_clean() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let report = check_schedule(&machine, &g, &sched, verification_iterations(&g));
         assert!(report.is_clean(), "{:?}", report.findings);
         assert_eq!(report.loop_name, "saxpy");
@@ -248,7 +256,7 @@ mod tests {
     fn static_makespan_matches_the_replay_across_iteration_counts() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let sim = KernelSimulator::new(&machine);
         for iterations in [1u64, 2, 3, 7, 64, 200] {
             let replayed = sim.run(&g, &sched, iterations);
@@ -350,7 +358,7 @@ mod tests {
     fn reports_serialize_and_roundtrip() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let report = check_schedule(&machine, &g, &sched, 8);
         let json = serde_json::to_string(&report).unwrap();
         let back: DifferentialReport = serde_json::from_str(&json).unwrap();

@@ -247,7 +247,15 @@ mod tests {
     use super::*;
     use vliw_arch::OpClass;
     use vliw_ddg::GraphBuilder;
-    use vliw_sms::SmsScheduler;
+    use vliw_sms::IiSearchDriver;
+
+    /// The unified-machine SMS reference schedule of `g`.
+    fn sms(machine: &MachineConfig, g: &DepGraph) -> ModuloSchedule {
+        IiSearchDriver::new(machine)
+            .schedule_unified(g)
+            .unwrap()
+            .schedule
+    }
 
     fn saxpy() -> DepGraph {
         GraphBuilder::new("saxpy")
@@ -273,7 +281,7 @@ mod tests {
     fn unified_schedule_replays_cleanly() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let report = KernelSimulator::new(&machine).run(&g, &sched, 64);
         assert!(report.is_clean(), "{:?}", report.errors);
         assert_eq!(report.ops_issued, 64 * g.n_nodes() as u64);
@@ -288,7 +296,7 @@ mod tests {
         // the completion latency of the last operations (< II + max latency).
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let report = KernelSimulator::new(&machine).run(&g, &sched, 64);
         let slack = (report.analytic_cycles as i64 - report.cycles as i64).abs();
         assert!(
@@ -312,7 +320,7 @@ mod tests {
     fn zero_iterations_is_rejected() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let report = KernelSimulator::new(&machine).run(&g, &sched, 0);
         assert!(!report.is_clean());
     }
@@ -321,7 +329,7 @@ mod tests {
     fn more_iterations_amortise_the_pipeline_fill() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g);
         let short = KernelSimulator::new(&machine).run(&g, &sched, 4);
         let long = KernelSimulator::new(&machine).run(&g, &sched, 256);
         assert!(long.ipc() > short.ipc());

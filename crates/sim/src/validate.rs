@@ -26,7 +26,7 @@ mod tests {
     use vliw_arch::{FuKind, MachineConfig, OpClass, ResourcePool};
     use vliw_ddg::{DepGraph, DepKind, GraphBuilder};
     use vliw_lint::Certifier;
-    use vliw_sms::{ModuloSchedule, PlacedOp, SmsScheduler};
+    use vliw_sms::{IiSearchDriver, ModuloSchedule, PlacedOp};
 
     fn saxpy() -> DepGraph {
         GraphBuilder::new("saxpy")
@@ -79,7 +79,10 @@ mod tests {
     fn a_correct_schedule_validates() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = IiSearchDriver::new(&machine)
+            .schedule_unified(&g)
+            .unwrap()
+            .schedule;
         let found = findings(&machine, &g, &sched);
         assert!(found.is_empty(), "{found:?}");
     }

@@ -25,6 +25,19 @@
 //! ~700-line scheduler: implement [`ClusterPolicy::select_placement`] and hand it to
 //! the driver.  See `DESIGN.md` for the architecture notes and the catalogue of
 //! policies built on this engine.
+//!
+//! ## The register check
+//!
+//! No spill code is generated, so a schedule whose `MaxLive` exceeds a register file
+//! is never accepted.  The driver has two entry points, and each fixes when the check
+//! runs:
+//!
+//! * [`IiSearchDriver::schedule`] (the clustered schedulers) probes every tentative
+//!   placement against the register files through the incremental
+//!   [`PressureTracker`]; a placement that overflows is not a candidate;
+//! * [`IiSearchDriver::schedule_unified`] (the unified-machine SMS reference) puts
+//!   every node on cluster 0 with a [`FixedAssignmentPolicy`] and folds each
+//!   completed attempt into the tracker once; an overflow fails the attempt.
 
 use crate::comm::{allocate_uncovered_comms, CommAllocation, ProbeComms};
 use crate::fuel::{FuelBudget, FuelMeter, FuelSpent, FuelStop};
@@ -37,20 +50,6 @@ use crate::slots::{early_start, late_start, SlotScan};
 use serde::{Deserialize, Serialize};
 use vliw_arch::{MachineConfig, ResourceIndex, ResourceKind, ResourcePool};
 use vliw_ddg::{missing_fu_kind, rec_mii, res_mii, DepGraph, GraphAnalysis, NodeId};
-
-/// When the register-pressure check runs during an attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegisterCheckMode {
-    /// Probe every tentative placement against the register files (the clustered
-    /// schedulers): a placement whose lifetimes overflow a register file is rejected
-    /// and the cluster is abandoned for this node (later cycles only lengthen
-    /// lifetimes).
-    PerPlacement,
-    /// Check `MaxLive` once, after every node has been placed (the unified SMS
-    /// scheduler, whose nodes all sit on cluster 0): an overflow in any cluster
-    /// fails the whole attempt.
-    WholeSchedule,
-}
 
 /// A fully evaluated candidate placement of one node on one cluster, produced by
 /// [`EngineView::probe`] and committed by the driver when the policy selects it.
@@ -67,7 +66,7 @@ pub struct Trial {
     /// The bus transfers this placement needs (already proven allocatable).
     pub comms: Vec<CommPlacement>,
     /// Register pressure of the candidate cluster after the placement (0 when the
-    /// register check is disabled or deferred).
+    /// register check is deferred to the whole schedule).
     pub max_live: u32,
 }
 
@@ -89,13 +88,6 @@ pub struct Probe {
     /// The scan stopped because the register file would overflow at the first
     /// otherwise-feasible cycle.
     pub register_blocked: bool,
-}
-
-impl Probe {
-    /// Whether the probe found a feasible placement.
-    pub fn is_feasible(&self) -> bool {
-        self.trial.is_some()
-    }
 }
 
 /// The engine's view of one in-progress scheduling attempt, handed to
@@ -120,6 +112,7 @@ pub struct EngineView<'a> {
     per_placement_registers: bool,
     bus_failed: bool,
     register_failed: bool,
+    rogue_cluster: Option<usize>,
 }
 
 impl<'a> EngineView<'a> {
@@ -171,16 +164,26 @@ impl<'a> EngineView<'a> {
     }
 
     /// Evaluate placing `node` on `cluster`: scan the candidate cycles for a free
-    /// functional unit whose communications fit on the buses and (in
-    /// [`RegisterCheckMode::PerPlacement`]) whose lifetimes fit the register files.
+    /// functional unit whose communications fit on the buses and (under
+    /// [`IiSearchDriver::schedule`]'s per-placement register check) whose lifetimes
+    /// fit the register files.
     ///
     /// The reservation table *and the schedule* are left unchanged regardless of
     /// outcome — tentative state is applied in place and undone through the
-    /// checkpoint/rollback transaction, never by cloning the schedule.
+    /// checkpoint/rollback transaction, never by cloning the schedule.  A `cluster`
+    /// outside the machine is infeasible, and the driver fails the search with
+    /// [`ScheduleError::RoguePolicy`].
     pub fn probe(&mut self, node: NodeId, cluster: usize) -> Probe {
-        // Fuel gate: past the probe budget every probe reports infeasible, which
-        // fails the attempt; the driver then surfaces `BudgetExhausted`.
-        if !self.fuel.spend_probe() {
+        // Rogue clusters are refused before any table row is indexed.  Fuel gate:
+        // past the probe budget every probe reports infeasible, which fails the
+        // attempt; the driver then surfaces `BudgetExhausted`.
+        let refused = if cluster >= self.machine.n_clusters {
+            self.rogue_cluster.get_or_insert(cluster);
+            true
+        } else {
+            !self.fuel.spend_probe()
+        };
+        if refused {
             return Probe {
                 trial: None,
                 saw_bus_block: false,
@@ -207,22 +210,8 @@ impl<'a> EngineView<'a> {
         let machine = self.machine;
         let bus_latency = machine.buses.latency;
         let kind = self.graph.node(node).class.fu_kind();
-        let early = early_start(
-            self.graph,
-            self.sched,
-            node,
-            self.ii,
-            Some(cluster),
-            bus_latency,
-        );
-        let late = late_start(
-            self.graph,
-            self.sched,
-            node,
-            self.ii,
-            Some(cluster),
-            bus_latency,
-        );
+        let early = early_start(self.graph, self.sched, node, self.ii, cluster, bus_latency);
+        let late = late_start(self.graph, self.sched, node, self.ii, cluster, bus_latency);
         let default_start = self.ctx.analysis.asap(node);
         let scan = SlotScan::new(early, late, self.ii, default_start);
 
@@ -338,46 +327,6 @@ impl<'a> EngineView<'a> {
             register_blocked: false,
         }
     }
-
-    /// Evaluate placing `node` on cluster 0 of a unified machine: find the first free
-    /// functional unit in the scan, with no communication machinery and no
-    /// per-placement register check (the unified scheduler checks `MaxLive` once per
-    /// attempt, see [`RegisterCheckMode::WholeSchedule`]).
-    pub fn probe_unified(&mut self, node: NodeId) -> Probe {
-        if !self.fuel.spend_probe() {
-            return Probe {
-                trial: None,
-                saw_bus_block: false,
-                register_blocked: false,
-            };
-        }
-        let kind = self.graph.node(node).class.fu_kind();
-        let early = early_start(self.graph, self.sched, node, self.ii, None, 0);
-        let late = late_start(self.graph, self.sched, node, self.ii, None, 0);
-        let default_start = self.ctx.analysis.asap(node);
-        let scan = SlotScan::new(early, late, self.ii, default_start);
-        for cycle in scan {
-            if let Some(fu) = self.mrt.find_free(self.pool.fus(0, kind), cycle) {
-                return Probe {
-                    trial: Some(Trial {
-                        node,
-                        cluster: 0,
-                        cycle,
-                        fu,
-                        comms: Vec::new(),
-                        max_live: 0,
-                    }),
-                    saw_bus_block: false,
-                    register_blocked: false,
-                };
-            }
-        }
-        Probe {
-            trial: None,
-            saw_bus_block: false,
-            register_blocked: false,
-        }
-    }
 }
 
 /// A cluster-assignment strategy plugged into the [`IiSearchDriver`].
@@ -387,9 +336,6 @@ impl<'a> EngineView<'a> {
 /// trial to commit, or `None` to fail the attempt (the driver then falls back to the
 /// next ordering or the next II).
 pub trait ClusterPolicy {
-    /// Short name of the strategy (reports and diagnostics).
-    fn name(&self) -> &'static str;
-
     /// Called once per candidate II, before the ordering attempts at that II.
     /// Two-phase policies recompute their cluster assignment here.
     fn begin_ii(&mut self, graph: &DepGraph, machine: &MachineConfig, ii: u32) {
@@ -408,25 +354,22 @@ pub trait ClusterPolicy {
 }
 
 /// A policy that schedules every node on a pre-computed cluster (the building block
-/// of the two-phase baseline and the ablation schedulers).
+/// of the two-phase baseline, the ablation schedulers and the unified-machine
+/// reference).
 ///
 /// N&E-style bus accounting: every bus-saturated probe cycle counts as a bus failure,
-/// even when the node eventually places at a later cycle.
+/// even when the node eventually places at a later cycle.  A node the assignment
+/// does not cover, or a cluster outside the machine, fails the search with
+/// [`ScheduleError::RoguePolicy`].
 #[derive(Debug, Clone)]
 pub struct FixedAssignmentPolicy {
-    name: &'static str,
     assignment: Vec<usize>,
 }
 
 impl FixedAssignmentPolicy {
     /// A policy forcing node `i` onto `assignment[i]`.
-    pub fn new(name: &'static str, assignment: Vec<usize>) -> Self {
-        Self { name, assignment }
-    }
-
-    /// The forced assignment (one cluster per node).
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
+    pub fn new(assignment: Vec<usize>) -> Self {
+        Self { assignment }
     }
 
     /// Replace the assignment (used by policies that recompute per II).
@@ -436,12 +379,11 @@ impl FixedAssignmentPolicy {
 }
 
 impl ClusterPolicy for FixedAssignmentPolicy {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
-        let probe = view.probe(node, self.assignment[node.index()]);
+        // A node past the end of the assignment probes no real cluster, which the
+        // engine refuses like any other out-of-range cluster.
+        let cluster = self.assignment.get(node.index()).copied();
+        let probe = view.probe(node, cluster.unwrap_or(usize::MAX));
         if probe.saw_bus_block {
             view.record_bus_failure();
         }
@@ -612,25 +554,16 @@ struct EngineScratch {
 #[derive(Debug, Clone)]
 pub struct IiSearchDriver<'m> {
     machine: &'m MachineConfig,
-    register_mode: RegisterCheckMode,
     fuel: Option<FuelBudget>,
 }
 
 impl<'m> IiSearchDriver<'m> {
-    /// A driver for `machine` with per-placement register checking (the clustered
-    /// schedulers' configuration).
+    /// A driver for `machine`.
     pub fn new(machine: &'m MachineConfig) -> Self {
         Self {
             machine,
-            register_mode: RegisterCheckMode::PerPlacement,
             fuel: None,
         }
-    }
-
-    /// Choose when the register check runs (see [`RegisterCheckMode`]).
-    pub fn register_mode(mut self, mode: RegisterCheckMode) -> Self {
-        self.register_mode = mode;
-        self
     }
 
     /// Run the search under a deterministic fuel budget (see
@@ -640,11 +573,6 @@ impl<'m> IiSearchDriver<'m> {
     pub fn with_fuel(mut self, budget: FuelBudget) -> Self {
         self.fuel = Some(budget);
         self
-    }
-
-    /// The machine being scheduled for.
-    pub fn machine(&self) -> &MachineConfig {
-        self.machine
     }
 
     /// Reject machines that cannot execute `graph` at all, *before* any search work:
@@ -669,10 +597,35 @@ impl<'m> IiSearchDriver<'m> {
     /// Modulo schedule `graph` under `policy`: search initiation intervals upward
     /// from MII, trying the SMS node order and then the topological fallback at each
     /// II, and restarting whenever a node cannot be placed.
+    ///
+    /// Every tentative placement is checked against the register files: a
+    /// placement whose lifetimes overflow one is rejected and the cluster is
+    /// abandoned for this node (later cycles only lengthen lifetimes).
     pub fn schedule<P: ClusterPolicy + ?Sized>(
         &self,
         graph: &DepGraph,
         policy: &mut P,
+    ) -> Result<ScheduledLoop, ScheduleError> {
+        self.search(graph, policy, true)
+    }
+
+    /// The unified-machine SMS reference: modulo schedule `graph` with every node
+    /// on cluster 0 (so no communication is ever needed) and check `MaxLive` once
+    /// per completed attempt, not per placement — an overflow fails the whole
+    /// attempt and the search moves on.  On a clustered machine the other clusters
+    /// simply stay empty.
+    pub fn schedule_unified(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
+        let mut all_on_zero = FixedAssignmentPolicy::new(vec![0; graph.n_nodes()]);
+        self.search(graph, &mut all_on_zero, false)
+    }
+
+    /// The II search behind both entry points; `per_placement` selects when the
+    /// register check runs.
+    fn search<P: ClusterPolicy + ?Sized>(
+        &self,
+        graph: &DepGraph,
+        policy: &mut P,
+        per_placement: bool,
     ) -> Result<ScheduledLoop, ScheduleError> {
         graph.validate().map_err(ScheduleError::InvalidGraph)?;
         self.check_machine(graph)?;
@@ -737,6 +690,7 @@ impl<'m> IiSearchDriver<'m> {
                     ii,
                     mii,
                     &mut meter,
+                    per_placement,
                 ) {
                     Ok(mut sched) => {
                         // Normalizing shifts every cycle by a multiple of II, so the
@@ -882,11 +836,11 @@ impl<'m> IiSearchDriver<'m> {
         ii: u32,
         mii: u32,
         meter: &mut FuelMeter,
+        per_placement: bool,
     ) -> Result<ModuloSchedule, AttemptError> {
         let mut sched = ModuloSchedule::new(&graph.name, graph.n_nodes(), ii, mii);
         scratch.mrt.reset(ii);
         scratch.assignment.fill(None);
-        let per_placement = matches!(self.register_mode, RegisterCheckMode::PerPlacement);
         scratch.tracker.reset(self.machine, graph.n_nodes(), ii);
         let EngineScratch {
             mrt,
@@ -913,10 +867,17 @@ impl<'m> IiSearchDriver<'m> {
                 per_placement_registers: per_placement,
                 bus_failed: false,
                 register_failed: false,
+                rogue_cluster: None,
             };
             let chosen = policy.select_placement(node, &mut view);
             bus_failed |= view.bus_failed;
             register_failed |= view.register_failed;
+            if let Some(cluster) = view.rogue_cluster {
+                return Err(AttemptError::Fatal(ScheduleError::RoguePolicy(format!(
+                    "policy probed cluster {cluster} of a {}-cluster machine for node {node}",
+                    self.machine.n_clusters
+                ))));
+            }
             match chosen {
                 Some(trial) => {
                     self.validate_trial(graph, &trial, node, pool)
@@ -1061,7 +1022,7 @@ mod tests {
         let machine = MachineConfig::two_cluster(2, 1);
         let g = saxpy();
         let assignment = vec![0, 0, 0, 0, 0];
-        let mut policy = FixedAssignmentPolicy::new("all-zero", assignment);
+        let mut policy = FixedAssignmentPolicy::new(assignment);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1082,7 +1043,7 @@ mod tests {
             .flow("ld", "add")
             .flow_at("add", "add", 1)
             .build();
-        let mut policy = FixedAssignmentPolicy::new("unified", vec![0, 0]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 0]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1098,7 +1059,7 @@ mod tests {
         // Forcing the Figure-7 recurrence across the clusters saturates the single
         // bus, driving the II above MII with bus failures on the way.
         let (machine, g) = fig7();
-        let mut policy = FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1118,7 +1079,7 @@ mod tests {
     #[test]
     fn trajectory_iis_are_consecutive_from_mii() {
         let (machine, g) = fig7();
-        let mut policy = FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1156,7 +1117,7 @@ mod tests {
             1,
             vliw_ddg::DepKind::Flow,
         );
-        let mut policy = FixedAssignmentPolicy::new("split", vec![0, 1]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1171,7 +1132,7 @@ mod tests {
     #[test]
     fn diagnostics_roundtrip_through_json() {
         let (machine, g) = fig7();
-        let mut policy = FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1222,7 +1183,7 @@ mod tests {
             .node("acc", OpClass::Store)
             .flow_at("acc", "acc", 1)
             .build();
-        let mut policy = FixedAssignmentPolicy::new("u", vec![0; 4]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0; 4]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1238,7 +1199,7 @@ mod tests {
         // though the final failing attempt may have been FU-bound — exactly the
         // accounting behind Figure 6's LimitedByBus predicate.
         let (machine, g) = fig7();
-        let mut policy = FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1252,7 +1213,7 @@ mod tests {
         assert_eq!(out.diagnostics.limiting.label(), "bus");
         // Whereas the same machine scheduling everything on one cluster never
         // touches the bus: II at MII, classified by the MII components.
-        let mut local = FixedAssignmentPolicy::new("local", vec![0; 6]);
+        let mut local = FixedAssignmentPolicy::new(vec![0; 6]);
         let out_local = IiSearchDriver::new(&machine)
             .schedule(&g, &mut local)
             .unwrap();
@@ -1272,14 +1233,8 @@ mod tests {
         let g = saxpy();
         let mut roomy = tiny.clone();
         roomy.cluster.registers = 1 << 20;
-        let relaxed = IiSearchDriver::new(&roomy)
-            .register_mode(RegisterCheckMode::WholeSchedule)
-            .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0; 5]))
-            .unwrap();
-        match IiSearchDriver::new(&tiny)
-            .register_mode(RegisterCheckMode::WholeSchedule)
-            .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0; 5]))
-        {
+        let relaxed = IiSearchDriver::new(&roomy).schedule_unified(&g).unwrap();
+        match IiSearchDriver::new(&tiny).schedule_unified(&g) {
             Ok(strict) => {
                 assert!(strict.schedule.ii() >= relaxed.schedule.ii());
                 if strict.schedule.ii() > strict.diagnostics.mii {
@@ -1295,7 +1250,7 @@ mod tests {
     fn max_live_per_cluster_has_one_entry_per_cluster() {
         let machine = MachineConfig::four_cluster(2, 1);
         let g = saxpy();
-        let mut policy = FixedAssignmentPolicy::new("rr", vec![0, 1, 2, 3, 0]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1, 2, 3, 0]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1312,7 +1267,7 @@ mod tests {
         let a = g.add_node(OpClass::IntAlu);
         g.add_edge(a, a, 1, 0, vliw_ddg::DepKind::Flow);
         let err = IiSearchDriver::new(&machine)
-            .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0]))
+            .schedule(&g, &mut FixedAssignmentPolicy::new(vec![0]))
             .unwrap_err();
         assert!(matches!(err, ScheduleError::InvalidGraph(_)));
     }
@@ -1323,7 +1278,7 @@ mod tests {
         let out = IiSearchDriver::new(&machine)
             .schedule(
                 &DepGraph::new("empty"),
-                &mut FixedAssignmentPolicy::new("u", vec![]),
+                &mut FixedAssignmentPolicy::new(vec![]),
             )
             .unwrap();
         assert!(out.schedule.is_complete());
@@ -1336,7 +1291,7 @@ mod tests {
         let mut g = DepGraph::new("one");
         g.add_node(OpClass::IntAlu);
         let out = IiSearchDriver::new(&machine)
-            .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0]))
+            .schedule(&g, &mut FixedAssignmentPolicy::new(vec![0]))
             .unwrap();
         assert!(out.schedule.is_complete());
         assert_eq!(out.diagnostics.ii, 1);
@@ -1356,18 +1311,37 @@ mod tests {
         let mut g = DepGraph::new("fp");
         g.add_node(OpClass::FpMul);
         let err = IiSearchDriver::new(&machine)
-            .schedule(&g, &mut FixedAssignmentPolicy::new("u", vec![0]))
+            .schedule(&g, &mut FixedAssignmentPolicy::new(vec![0]))
             .unwrap_err();
         assert!(matches!(err, ScheduleError::InvalidMachine(_)), "{err}");
         assert!(err.to_string().to_lowercase().contains("fp"), "{err}");
     }
 
+    #[test]
+    fn wrong_assignment_length_is_a_typed_error_not_a_panic() {
+        let machine = MachineConfig::two_cluster(1, 1);
+        let err = IiSearchDriver::new(&machine)
+            .schedule(&saxpy(), &mut FixedAssignmentPolicy::new(vec![0, 1]))
+            .unwrap_err();
+        assert!(matches!(err, ScheduleError::RoguePolicy(_)), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_assignment_is_a_typed_error_not_a_panic() {
+        let machine = MachineConfig::two_cluster(1, 1);
+        let g = saxpy();
+        for assignment in [vec![7; g.n_nodes()], vec![0, 0, 0, 0, 7]] {
+            let err = IiSearchDriver::new(&machine)
+                .schedule(&g, &mut FixedAssignmentPolicy::new(assignment))
+                .unwrap_err();
+            assert!(matches!(err, ScheduleError::RoguePolicy(_)), "{err}");
+            assert!(err.to_string().contains("cluster 7"), "{err}");
+        }
+    }
+
     /// A policy that fabricates a trial pointing at another node's placement.
     struct ForgingPolicy;
     impl ClusterPolicy for ForgingPolicy {
-        fn name(&self) -> &'static str {
-            "forging"
-        }
         fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
             let mut trial = view.probe(node, 0).trial?;
             trial.cluster = usize::MAX; // row outside the machine
@@ -1391,9 +1365,6 @@ mod tests {
         bus: ResourceIndex,
     }
     impl ClusterPolicy for SmugglingPolicy {
-        fn name(&self) -> &'static str {
-            "smuggling"
-        }
         fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
             let mut trial = view.probe(node, 0).trial?;
             if node == NodeId(4) {
@@ -1425,7 +1396,7 @@ mod tests {
     #[test]
     fn unbudgeted_runs_leave_fuel_unset_and_serialize_without_new_keys() {
         let (machine, g) = fig7();
-        let mut policy = FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]);
         let out = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy)
             .unwrap();
@@ -1441,7 +1412,7 @@ mod tests {
     #[test]
     fn budgeted_success_records_fuel_and_roundtrips() {
         let (machine, g) = fig7();
-        let mut policy = FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]);
         let unbudgeted = IiSearchDriver::new(&machine)
             .schedule(&g, &mut policy.clone())
             .unwrap();
@@ -1467,10 +1438,7 @@ mod tests {
         let run = || {
             IiSearchDriver::new(&machine)
                 .with_fuel(FuelBudget::probes(3))
-                .schedule(
-                    &g,
-                    &mut FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]),
-                )
+                .schedule(&g, &mut FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]))
                 .unwrap_err()
         };
         let err = run();
@@ -1491,10 +1459,7 @@ mod tests {
         let (machine, g) = fig7();
         let err = IiSearchDriver::new(&machine)
             .with_fuel(FuelBudget::unlimited().with_ii_steps(1))
-            .schedule(
-                &g,
-                &mut FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]),
-            )
+            .schedule(&g, &mut FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]))
             .unwrap_err();
         assert!(
             matches!(err, ScheduleError::BudgetExhausted { .. }),
@@ -1507,10 +1472,7 @@ mod tests {
         let (machine, g) = fig7();
         let err = IiSearchDriver::new(&machine)
             .with_fuel(FuelBudget::unlimited().with_deadline(std::time::Duration::ZERO))
-            .schedule(
-                &g,
-                &mut FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]),
-            )
+            .schedule(&g, &mut FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]))
             .unwrap_err();
         assert!(
             matches!(err, ScheduleError::DeadlineExpired { .. }),
@@ -1521,7 +1483,7 @@ mod tests {
     #[test]
     fn a_generous_budget_behaves_like_no_budget_at_all() {
         let (machine, g) = fig7();
-        let mut policy = FixedAssignmentPolicy::new("split", vec![0, 1, 0, 1, 0, 1]);
+        let mut policy = FixedAssignmentPolicy::new(vec![0, 1, 0, 1, 0, 1]);
         let budgeted = IiSearchDriver::new(&machine)
             .with_fuel(FuelBudget::unlimited())
             .schedule(&g, &mut policy.clone())

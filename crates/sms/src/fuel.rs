@@ -45,8 +45,8 @@ impl Deadline {
 /// means unlimited (the default).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FuelBudget {
-    /// Maximum number of placement probes ([`crate::EngineView::probe`] /
-    /// [`crate::EngineView::probe_unified`] calls) across the whole search.
+    /// Maximum number of placement probes ([`crate::EngineView::probe`] calls)
+    /// across the whole search.
     pub max_probes: Option<u64>,
     /// Maximum number of scheduling attempts (orderings tried, across all IIs).
     pub max_attempts: Option<u64>,

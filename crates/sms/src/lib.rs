@@ -19,14 +19,14 @@
 //!   cluster, functional unit), inter-cluster communications (bus, cycle), initiation
 //!   interval, stage count, kernel emission as a [`vliw_arch::VliwProgram`] and the
 //!   `NCYCLES = (NITER + SC − 1)·II` cycle model of Section 4;
-//! * [`unified::SmsScheduler`] — the unified-machine (single cluster) modulo scheduler
-//!   that serves as the IPC reference in every experiment;
 //! * [`comm`] — inter-cluster communication requests and the bus allocator;
 //! * [`engine`] — the shared scheduling engine: the [`engine::IiSearchDriver`] owns
 //!   the MII→max-II retry loop, ordering fallbacks, scratch reuse and register
 //!   checking, parameterized by a [`engine::ClusterPolicy`] that encapsulates only
-//!   the cluster-assignment strategy.  Every scheduler in the repository (unified
-//!   SMS, BSA, N&E and the ablations) is a thin policy on this engine.
+//!   the cluster-assignment strategy.  Every scheduler in the repository (BSA, N&E
+//!   and the ablations) is a thin policy on this engine; the unified-machine SMS
+//!   reference, the IPC baseline of every experiment, is
+//!   [`engine::IiSearchDriver::schedule_unified`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,13 +41,12 @@ pub mod ordering;
 pub mod pressure;
 pub mod schedule;
 pub mod slots;
-pub mod unified;
 
 pub use comm::{allocate_comms, required_comms, CommAllocation, CommRequest};
 pub use containment::{contain, contain_schedule};
 pub use engine::{
     ClusterPolicy, EngineView, FixedAssignmentPolicy, IiSearchDriver, IiStep, LimitingResource,
-    Probe, RegisterCheckMode, ScheduleDiagnostics, ScheduledLoop, Trial,
+    Probe, ScheduleDiagnostics, ScheduledLoop, Trial,
 };
 pub use fuel::{Deadline, FuelBudget, FuelMeter, FuelSpent, FuelStop};
 pub use mrt::{ModuloReservationTable, Reservation};
@@ -57,7 +56,6 @@ pub use schedule::{
     CommPlacement, ModuloSchedule, PlacedOp, ScheduleCheckpoint, ScheduleError, SlotMap,
 };
 pub use slots::{early_start, late_start, SlotScan};
-pub use unified::SmsScheduler;
 
 /// Hard cap on the initiation interval explored by the schedulers: `MAX_II_FACTOR ×
 /// MII + MAX_II_SLACK`.  A loop that cannot be scheduled within this budget is reported
@@ -71,6 +69,11 @@ pub fn max_ii(mii: u32) -> u32 {
     mii.saturating_mul(MAX_II_FACTOR)
         .saturating_add(MAX_II_SLACK)
 }
+
+/// Tests of the unified-machine SMS reference,
+/// [`IiSearchDriver::schedule_unified`].
+#[cfg(test)]
+mod unified;
 
 /// Tests of the Section-5.1 lifetime model itself (see [`pressure`]), run on the
 /// tracker's from-scratch fold.

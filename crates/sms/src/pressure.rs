@@ -615,10 +615,6 @@ mod tests {
     }
 
     impl ClusterPolicy for Recording {
-        fn name(&self) -> &'static str {
-            "recording"
-        }
-
         fn begin_attempt(&mut self, _: &DepGraph, _: &MachineConfig, _: u32) {
             self.order.clear();
         }
@@ -651,7 +647,7 @@ mod tests {
             .flow_at("x", "m", 1)
             .build();
         let mut policy = Recording {
-            inner: FixedAssignmentPolicy::new("split", vec![0, 1, 1, 0, 1, 0]),
+            inner: FixedAssignmentPolicy::new(vec![0, 1, 1, 0, 1, 0]),
             order: Vec::new(),
         };
         let out = IiSearchDriver::new(&machine)

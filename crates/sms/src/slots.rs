@@ -9,7 +9,7 @@
 //!   `min over edges n→s of  t(s) − latency + II·distance`.
 //!
 //! On a clustered machine a value that crosses clusters additionally pays the bus
-//! latency, so both bounds accept a *target cluster*: edges whose already-placed
+//! latency, so both bounds take the *target cluster*: edges whose already-placed
 //! endpoint sits in a different cluster are penalised by the machine's bus latency
 //! (this is how the paper's scheduler "hides" the communication latency — it simply
 //! becomes part of the dependence distance being scheduled around).
@@ -26,7 +26,7 @@ use vliw_ddg::{DepGraph, NodeId};
 
 /// The earliest start cycle of `node` implied by its already-scheduled predecessors.
 ///
-/// `target_cluster` is the cluster the node is being tried on; `bus_latency` is added
+/// `cluster` is the cluster the node is being tried on; `bus_latency` is added
 /// for value-carrying edges arriving from another cluster.  Returns `None` when no
 /// predecessor has been scheduled yet.
 pub fn early_start(
@@ -34,7 +34,7 @@ pub fn early_start(
     sched: &ModuloSchedule,
     node: NodeId,
     ii: u32,
-    target_cluster: Option<usize>,
+    cluster: usize,
     bus_latency: u32,
 ) -> Option<i64> {
     let mut bound: Option<i64> = None;
@@ -49,10 +49,8 @@ pub fn early_start(
             continue;
         };
         let mut lat = e.latency as i64;
-        if let Some(c) = target_cluster {
-            if e.kind.carries_value() && p.cluster != c {
-                lat += bus_latency as i64;
-            }
+        if e.kind.carries_value() && p.cluster != cluster {
+            lat += bus_latency as i64;
         }
         let t = p.cycle + lat - ii as i64 * e.distance as i64;
         bound = Some(bound.map_or(t, |b: i64| b.max(t)));
@@ -70,7 +68,7 @@ pub fn late_start(
     sched: &ModuloSchedule,
     node: NodeId,
     ii: u32,
-    target_cluster: Option<usize>,
+    cluster: usize,
     bus_latency: u32,
 ) -> Option<i64> {
     let mut bound: Option<i64> = None;
@@ -82,10 +80,8 @@ pub fn late_start(
             continue;
         };
         let mut lat = e.latency as i64;
-        if let Some(c) = target_cluster {
-            if e.kind.carries_value() && s.cluster != c {
-                lat += bus_latency as i64;
-            }
+        if e.kind.carries_value() && s.cluster != cluster {
+            lat += bus_latency as i64;
         }
         let t = s.cycle - lat + ii as i64 * e.distance as i64;
         bound = Some(bound.map_or(t, |b: i64| b.min(t)));
@@ -197,8 +193,8 @@ mod tests {
     #[test]
     fn no_scheduled_neighbours_gives_no_bounds() {
         let (g, sched, _) = setup();
-        assert_eq!(early_start(&g, &sched, NodeId(1), 4, None, 0), None);
-        assert_eq!(late_start(&g, &sched, NodeId(1), 4, None, 0), None);
+        assert_eq!(early_start(&g, &sched, NodeId(1), 4, 0, 0), None);
+        assert_eq!(late_start(&g, &sched, NodeId(1), 4, 0, 0), None);
     }
 
     #[test]
@@ -211,11 +207,11 @@ mod tests {
             fu: pool.fus(0, FuKind::Mem).next().unwrap(),
         });
         // b must start at or after 5 + 2
-        assert_eq!(early_start(&g, &sched, NodeId(1), 4, None, 0), Some(7));
+        assert_eq!(early_start(&g, &sched, NodeId(1), 4, 0, 0), Some(7));
         // On another cluster the bus latency (say 2) is added.
-        assert_eq!(early_start(&g, &sched, NodeId(1), 4, Some(1), 2), Some(9));
+        assert_eq!(early_start(&g, &sched, NodeId(1), 4, 1, 2), Some(9));
         // Same cluster: no penalty.
-        assert_eq!(early_start(&g, &sched, NodeId(1), 4, Some(0), 2), Some(7));
+        assert_eq!(early_start(&g, &sched, NodeId(1), 4, 0, 2), Some(7));
     }
 
     #[test]
@@ -228,10 +224,10 @@ mod tests {
             fu: pool.fus(1, FuKind::Mem).next().unwrap(),
         });
         // b must start at or before 10 - 4
-        assert_eq!(late_start(&g, &sched, NodeId(1), 4, None, 0), Some(6));
+        assert_eq!(late_start(&g, &sched, NodeId(1), 4, 0, 0), Some(6));
         // If b is tried on cluster 0, the value to c (cluster 1) pays the bus.
-        assert_eq!(late_start(&g, &sched, NodeId(1), 4, Some(0), 2), Some(4));
-        assert_eq!(late_start(&g, &sched, NodeId(1), 4, Some(1), 2), Some(6));
+        assert_eq!(late_start(&g, &sched, NodeId(1), 4, 0, 2), Some(4));
+        assert_eq!(late_start(&g, &sched, NodeId(1), 4, 1, 2), Some(6));
     }
 
     #[test]
@@ -251,9 +247,9 @@ mod tests {
             fu: pool.fus(0, FuKind::Fp).next().unwrap(),
         });
         // a as successor of b through the back edge: early = 3 + 3 - 6*1 = 0
-        assert_eq!(early_start(&g, &sched, NodeId(0), 6, None, 0), Some(0));
+        assert_eq!(early_start(&g, &sched, NodeId(0), 6, 0, 0), Some(0));
         // a as predecessor of b through the forward edge: late = 3 - 3 + 0 = 0
-        assert_eq!(late_start(&g, &sched, NodeId(0), 6, None, 0), Some(0));
+        assert_eq!(late_start(&g, &sched, NodeId(0), 6, 0, 0), Some(0));
     }
 
     #[test]
@@ -262,8 +258,8 @@ mod tests {
         let a = g.add_node(OpClass::FpAdd);
         g.add_edge(a, a, 3, 1, DepKind::Flow);
         let sched = ModuloSchedule::new("self", 1, 3, 3);
-        assert_eq!(early_start(&g, &sched, NodeId(0), 3, None, 0), None);
-        assert_eq!(late_start(&g, &sched, NodeId(0), 3, None, 0), None);
+        assert_eq!(early_start(&g, &sched, NodeId(0), 3, 0, 0), None);
+        assert_eq!(late_start(&g, &sched, NodeId(0), 3, 0, 0), None);
     }
 
     #[test]

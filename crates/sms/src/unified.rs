@@ -1,83 +1,14 @@
-//! The unified-machine modulo scheduler.
-//!
-//! This is Swing Modulo Scheduling specialised to a machine with a single cluster: no
-//! buses, no cluster choice.  It is the reference point of every experiment in the
-//! paper — the clustered schedulers are evaluated by their IPC *relative to* the
-//! schedule this scheduler produces on a unified machine with the same total resources.
-//!
-//! It is also used by the Nystrom & Eichenberger baseline (phase 2 schedules each node
-//! on the cluster chosen by phase 1), which reuses the slot-selection and reservation
-//! machinery exposed here.
-
-use crate::engine::{
-    ClusterPolicy, EngineView, IiSearchDriver, RegisterCheckMode, ScheduledLoop, Trial,
-};
-use crate::schedule::{ModuloSchedule, ScheduleError};
-use vliw_arch::MachineConfig;
-use vliw_ddg::{DepGraph, NodeId};
-
-/// The [`ClusterPolicy`] of the unified machine: every node goes to cluster 0 at the
-/// first cycle with a free functional unit, with no communication machinery; register
-/// pressure is checked once per attempt by the engine
-/// ([`RegisterCheckMode::WholeSchedule`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnifiedPolicy;
-
-impl ClusterPolicy for UnifiedPolicy {
-    fn name(&self) -> &'static str {
-        "unified-sms"
-    }
-
-    fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
-        view.probe_unified(node).trial
-    }
-}
-
-/// Swing Modulo Scheduler for a unified (single-cluster) VLIW machine.
-///
-/// Register pressure is always checked against the register file size: the paper
-/// generates no spill code, so a schedule that exceeds the file is retried at a
-/// larger II.
-#[derive(Debug, Clone)]
-pub struct SmsScheduler {
-    machine: MachineConfig,
-}
-
-impl SmsScheduler {
-    /// A scheduler for `machine`.  The machine is expected to have a single cluster;
-    /// clustered machines are accepted (all operations are forced onto cluster 0) so
-    /// that the unified counterpart of a clustered configuration can be expressed
-    /// directly, but inter-cluster features are ignored.
-    pub fn new(machine: &MachineConfig) -> Self {
-        Self {
-            machine: machine.clone(),
-        }
-    }
-
-    /// The machine this scheduler targets.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    /// Modulo schedule `graph`, searching initiation intervals upward from MII.
-    pub fn schedule(&self, graph: &DepGraph) -> Result<ModuloSchedule, ScheduleError> {
-        self.schedule_diag(graph).map(|out| out.schedule)
-    }
-
-    /// Like [`SmsScheduler::schedule`], but also return the engine's
-    /// [`crate::engine::ScheduleDiagnostics`].
-    pub fn schedule_diag(&self, graph: &DepGraph) -> Result<ScheduledLoop, ScheduleError> {
-        IiSearchDriver::new(&self.machine)
-            .register_mode(RegisterCheckMode::WholeSchedule)
-            .schedule(graph, &mut UnifiedPolicy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{IiSearchDriver, ModuloSchedule, ScheduleError};
     use vliw_arch::{MachineConfig, OpClass};
-    use vliw_ddg::{mii, DepKind, GraphBuilder};
+    use vliw_ddg::{mii, DepGraph, DepKind, GraphBuilder};
+
+    fn sms(machine: &MachineConfig, g: &DepGraph) -> Result<ModuloSchedule, ScheduleError> {
+        IiSearchDriver::new(machine)
+            .schedule_unified(g)
+            .map(|out| out.schedule)
+    }
 
     fn saxpy() -> DepGraph {
         GraphBuilder::new("saxpy")
@@ -132,7 +63,7 @@ mod tests {
     fn saxpy_schedules_at_mii_on_unified_machine() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g).unwrap();
         assert!(sched.is_complete());
         assert_eq!(sched.ii(), mii(&g, &machine));
         assert_dependences_hold(&g, &sched);
@@ -148,7 +79,7 @@ mod tests {
             b = b.node(&format!("l{i}"), OpClass::Load);
         }
         let g = b.build();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g).unwrap();
         assert_eq!(sched.ii(), 3);
         assert_no_resource_conflicts(&sched);
     }
@@ -164,7 +95,7 @@ mod tests {
             .flow_at("add", "add", 1)
             .flow("add", "st")
             .build();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g).unwrap();
         assert_eq!(sched.ii(), 3); // fadd latency over distance 1
         assert_dependences_hold(&g, &sched);
     }
@@ -180,7 +111,7 @@ mod tests {
             vliw_arch::LatencyModel::table1(),
         );
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g).unwrap();
         assert_eq!(sched.ii(), mii(&g, &machine));
         assert!(sched.ii() >= 3); // 3 memory operations on one memory unit
         assert_no_resource_conflicts(&sched);
@@ -191,7 +122,7 @@ mod tests {
     fn stage_count_reflects_pipeline_depth() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g).unwrap();
         // The critical path (load 2 + fmul 4 + fadd 3 + store) is ~10 cycles, so with a
         // small II several stages must overlap.
         assert!(sched.stage_count() >= 3, "SC = {}", sched.stage_count());
@@ -201,7 +132,7 @@ mod tests {
     fn cycles_follow_the_paper_formula() {
         let machine = MachineConfig::unified();
         let g = saxpy();
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g).unwrap();
         let niter = 1000;
         assert_eq!(
             sched.cycles_for(niter),
@@ -221,12 +152,10 @@ mod tests {
             vliw_arch::LatencyModel::table1(),
         );
         let g = saxpy();
-        let strict = SmsScheduler::new(&tiny);
         let mut roomy = tiny.clone();
         roomy.cluster.registers = 1 << 20;
-        let relaxed = SmsScheduler::new(&roomy);
-        let relaxed_sched = relaxed.schedule(&g).unwrap();
-        match strict.schedule(&g) {
+        let relaxed_sched = sms(&roomy, &g).unwrap();
+        match sms(&tiny, &g) {
             Ok(s) => assert!(s.ii() >= relaxed_sched.ii()),
             Err(ScheduleError::MaxIiExceeded { .. }) => {} // also acceptable: never fits
             Err(e) => panic!("unexpected error {e}"),
@@ -239,7 +168,7 @@ mod tests {
         let mut g = DepGraph::new("bad");
         let a = g.add_node(OpClass::IntAlu);
         g.add_edge(a, a, 1, 0, DepKind::Flow);
-        let err = SmsScheduler::new(&machine).schedule(&g).unwrap_err();
+        let err = sms(&machine, &g).unwrap_err();
         assert!(matches!(err, ScheduleError::InvalidGraph(_)));
     }
 
@@ -247,7 +176,7 @@ mod tests {
     fn empty_graph_schedules_trivially() {
         let machine = MachineConfig::unified();
         let g = DepGraph::new("empty");
-        let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+        let sched = sms(&machine, &g).unwrap();
         assert!(sched.is_complete());
         assert_eq!(sched.ii(), 1);
     }
@@ -290,7 +219,7 @@ mod tests {
                 .build(),
         ];
         for g in shapes {
-            let sched = SmsScheduler::new(&machine).schedule(&g).unwrap();
+            let sched = sms(&machine, &g).unwrap();
             assert_dependences_hold(&g, &sched);
             assert_no_resource_conflicts(&sched);
         }

@@ -142,10 +142,6 @@ impl<P: ClusterPolicy> FaultyPolicy<P> {
 }
 
 impl<P: ClusterPolicy> ClusterPolicy for FaultyPolicy<P> {
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
-
     fn begin_ii(
         &mut self,
         graph: &vliw_ddg::DepGraph,

@@ -1,81 +1,13 @@
 //! The differential oracle: run every policy on a fuzz case, audit every schedule.
 
 use crate::case::FuzzCase;
-use cvliw_core::{
-    BsaScheduler, LoadBalancedScheduler, LoopScheduler, NeScheduler, RoundRobinScheduler,
-};
+pub use cvliw_core::Policy;
 use serde::{Deserialize, Serialize};
 use vliw_arch::MachineConfig;
 use vliw_ddg::DepGraph;
 use vliw_lint::{Certifier, OptCertificate, OptimalSolver};
 use vliw_sim::{check_schedule_with, verification_iterations, Finding};
-use vliw_sms::{ScheduleError, ScheduledLoop, SmsScheduler};
-
-/// The five scheduling policies of the repository, all thin strategies on the shared
-/// `IiSearchDriver` engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Policy {
-    /// The unified-machine SMS reference (scheduled on the case machine's unified
-    /// counterpart — SMS is a single-cluster scheduler).
-    UnifiedSms,
-    /// The paper's single-pass cluster scheduler (Figure 5).
-    Bsa,
-    /// The two-phase Nystrom & Eichenberger-style baseline.
-    NystromEichenberger,
-    /// Ablation: fixed round-robin cluster assignment.
-    RoundRobin,
-    /// Ablation: fixed load-balanced cluster assignment.
-    LoadBalanced,
-}
-
-impl Policy {
-    /// Every policy, in reporting order.
-    pub const ALL: [Policy; 5] = [
-        Policy::UnifiedSms,
-        Policy::Bsa,
-        Policy::NystromEichenberger,
-        Policy::RoundRobin,
-        Policy::LoadBalanced,
-    ];
-
-    /// Short label used in reports and coverage counters.
-    pub fn label(self) -> &'static str {
-        match self {
-            Policy::UnifiedSms => "unified-sms",
-            Policy::Bsa => "bsa",
-            Policy::NystromEichenberger => "ne",
-            Policy::RoundRobin => "round-robin",
-            Policy::LoadBalanced => "load-balanced",
-        }
-    }
-
-    /// The machine this policy actually schedules `machine`'s loops for: the machine
-    /// itself for the cluster schedulers, its unified counterpart for the SMS
-    /// reference.
-    pub fn target_machine(self, machine: &MachineConfig) -> MachineConfig {
-        match self {
-            Policy::UnifiedSms if machine.is_clustered() => machine.unified_counterpart(),
-            _ => machine.clone(),
-        }
-    }
-
-    /// Schedule `graph` for `machine` under this policy (on its
-    /// [`Policy::target_machine`]).
-    pub fn schedule(
-        self,
-        machine: &MachineConfig,
-        graph: &DepGraph,
-    ) -> Result<ScheduledLoop, ScheduleError> {
-        let target = self.target_machine(machine);
-        match self {
-            Policy::UnifiedSms => SmsScheduler::new(&target).schedule_diag(graph),
-            Policy::Bsa => BsaScheduler::new(&target).schedule_loop(graph),
-            Policy::NystromEichenberger => NeScheduler::new(&target).schedule_loop(graph),
-            Policy::RoundRobin => RoundRobinScheduler::new(&target).schedule_loop(graph),
-            Policy::LoadBalanced => LoadBalancedScheduler::new(&target).schedule_loop(graph),
-        }
-    }
-}
+use vliw_sms::{ScheduleError, ScheduledLoop};
 
 /// What happened when one policy met one fuzz case.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -12,7 +12,7 @@
 //! (`PressureTracker::of_schedule`) on every probe, so a divergence would pinpoint
 //! the exact placement.
 
-use cvliw_core::BsaScheduler;
+use cvliw_core::Scheduler;
 use vliw_arch::MachineSpace;
 use vliw_lint::{Certifier, ModuloLiveness};
 use vliw_sim::verification_iterations;
@@ -66,11 +66,11 @@ fn incremental_search_preserves_fuel_receipts() {
     let mut receipts = 0usize;
     for index in 0..24 {
         let case = generate_case(0xF0E1, index, &space);
-        let unbudgeted = BsaScheduler::new(&case.machine).schedule_diag(&case.graph);
+        let unbudgeted = Scheduler::new(Policy::Bsa, &case.machine).schedule_diag(&case.graph);
         // A tight budget so some searches exhaust mid-II (the receipt then records
         // the partial spend) and the rest finish with a full receipt.
         for probes in [400u64, 1 << 40] {
-            let budgeted = BsaScheduler::new(&case.machine)
+            let budgeted = Scheduler::new(Policy::Bsa, &case.machine)
                 .with_fuel(FuelBudget::probes(probes))
                 .schedule_diag(&case.graph);
             match budgeted {

@@ -28,10 +28,6 @@ impl DroppedBusReservation {
 }
 
 impl ClusterPolicy for DroppedBusReservation {
-    fn name(&self) -> &'static str {
-        "bsa-dropped-bus"
-    }
-
     fn begin_ii(&mut self, graph: &DepGraph, machine: &MachineConfig, ii: u32) {
         self.0.begin_ii(graph, machine, ii);
     }

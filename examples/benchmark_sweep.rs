@@ -6,7 +6,7 @@
 //! where `benchmark` is one of tomcatv, swim, su2cor, hydro2d, mgrid, applu, turb3d,
 //! apsi, fpppp, wave5 (default: hydro2d).
 
-use clustered_vliw::core::{BsaScheduler, LoopScheduler, SelectiveUnroller, UnrollPolicy};
+use clustered_vliw::core::{LoopScheduler, SelectiveUnroller, UnrollPolicy};
 use clustered_vliw::metrics::{IpcAccountant, LoopContribution, TextTable};
 use clustered_vliw::prelude::*;
 
@@ -46,7 +46,11 @@ fn main() {
     );
 
     let unified = MachineConfig::unified();
-    let unified_ipc = corpus_ipc(&corpus, SmsScheduler::new(&unified), UnrollPolicy::None);
+    let unified_ipc = corpus_ipc(
+        &corpus,
+        Scheduler::new(Policy::UnifiedSms, &unified),
+        UnrollPolicy::None,
+    );
     println!("Unified 12-wide machine IPC: {unified_ipc:.2}\n");
 
     let mut table = TextTable::new(["configuration", "policy", "IPC", "relative to unified"]);
@@ -55,7 +59,7 @@ fn main() {
             for latency in [1u32, 2, 4] {
                 let machine = MachineConfig::clustered(clusters, buses, latency);
                 for policy in UnrollPolicy::ALL {
-                    let ipc = corpus_ipc(&corpus, BsaScheduler::new(&machine), policy);
+                    let ipc = corpus_ipc(&corpus, Scheduler::new(Policy::Bsa, &machine), policy);
                     table.row([
                         format!("{clusters}c/{buses}b/L{latency}"),
                         policy.label().to_string(),

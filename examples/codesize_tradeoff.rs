@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example codesize_tradeoff`
 
-use clustered_vliw::core::{BsaScheduler, SelectiveUnroller, UnrollPolicy};
+use clustered_vliw::core::{SelectiveUnroller, UnrollPolicy};
 use clustered_vliw::metrics::{
     CodeSizeModel, CodeSizeReport, IpcAccountant, LoopContribution, TextTable,
 };
@@ -27,7 +27,7 @@ fn main() {
     ]);
     for corpus in &corpora {
         for policy in UnrollPolicy::ALL {
-            let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+            let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
             let code_model = CodeSizeModel::new(&machine);
             let mut acc = IpcAccountant::new();
             let mut code = CodeSizeReport::zero();

@@ -30,7 +30,7 @@ fn main() {
     for bus_latency in [1u32, 2] {
         let machine = figure7_machine(bus_latency);
         println!("=== {machine} ===");
-        let bsa = BsaScheduler::new(&machine);
+        let bsa = Scheduler::new(Policy::Bsa, &machine);
 
         // Non-unrolled loop.
         let plain = bsa.schedule(&graph).expect("schedulable");

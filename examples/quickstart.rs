@@ -42,7 +42,7 @@ fn main() {
 
     // 3. Schedule it: cluster assignment and cycle assignment in a single pass, with
     //    the selective unrolling policy of the paper.
-    let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+    let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
     let result = driver
         .schedule_with_policy(&graph, UnrollPolicy::Selective)
         .expect("saxpy is schedulable");
@@ -74,7 +74,9 @@ fn main() {
 
     // 6. Compare against the unified machine with the same total resources.
     let unified = machine.unified_counterpart();
-    let unified_sched = SmsScheduler::new(&unified).schedule(&graph).unwrap();
+    let unified_sched = Scheduler::new(Policy::UnifiedSms, &unified)
+        .schedule(&graph)
+        .unwrap();
     println!(
         "\nUnified machine reaches II = {}; clustered II = {} -> relative IPC ≈ {:.2}",
         unified_sched.ii(),

@@ -15,7 +15,9 @@
 //! let machine = MachineConfig::clustered(4, 1, 1);
 //! // Schedule the worked example of Figure 7 of the paper.
 //! let graph = paper_example_loop();
-//! let schedule = BsaScheduler::new(&machine).schedule(&graph).expect("schedulable");
+//! let schedule = Scheduler::new(Policy::Bsa, &machine)
+//!     .schedule(&graph)
+//!     .expect("schedulable");
 //! assert!(schedule.ii() >= clustered_vliw::ddg::mii(&graph, &machine));
 //! ```
 
@@ -34,14 +36,12 @@ pub use vliw_workloads as workloads;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use cvliw_core::{
-        BsaScheduler, ClusterSchedule, NeScheduler, SelectiveUnroller, UnrollPolicy,
-    };
+    pub use cvliw_core::{ClusterSchedule, Policy, Scheduler, SelectiveUnroller, UnrollPolicy};
     pub use vliw_arch::{BusConfig, FuKind, MachineConfig, Operation};
     pub use vliw_ddg::{DepGraph, DepKind, Edge, Node, NodeId};
     pub use vliw_metrics::{CodeSizeModel, IpcAccountant};
     pub use vliw_sim::KernelSimulator;
-    pub use vliw_sms::{ModuloSchedule, SmsScheduler};
+    pub use vliw_sms::ModuloSchedule;
     pub use vliw_timing::{CycleTimeModel, PalacharlaModel};
     pub use vliw_workloads::{paper_example_loop, LoopCorpus, SpecFp95};
 }

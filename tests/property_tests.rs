@@ -3,10 +3,7 @@
 //! preserve structure, the reservation table must never be oversubscribed, and the
 //! checkpoint/rollback transaction must restore schedules bit-for-bit.
 
-use clustered_vliw::core::{
-    BsaScheduler, LoadBalancedScheduler, LoopScheduler, NeScheduler, RoundRobinScheduler,
-    SelectiveUnroller, UnrollPolicy,
-};
+use clustered_vliw::core::{SelectiveUnroller, UnrollPolicy};
 use clustered_vliw::lint::Certifier;
 use clustered_vliw::prelude::*;
 use proptest::prelude::*;
@@ -97,7 +94,7 @@ proptest! {
     fn random_loops_validate_and_schedule_on_the_unified_machine(graph in arb_loop()) {
         prop_assume!(graph.validate().is_ok());
         let machine = MachineConfig::unified();
-        let sched = SmsScheduler::new(&machine).schedule(&graph).unwrap();
+        let sched = Scheduler::new(Policy::UnifiedSms, &machine).schedule(&graph).unwrap();
         prop_assert!(sched.ii() >= mii(&graph, &machine));
         assert_legal(&graph, &sched, &machine);
     }
@@ -106,7 +103,7 @@ proptest! {
     fn random_loops_schedule_legally_with_bsa_on_clustered_machines(graph in arb_loop()) {
         prop_assume!(graph.validate().is_ok());
         for machine in [MachineConfig::two_cluster(1, 1), MachineConfig::four_cluster(1, 2)] {
-            let sched = BsaScheduler::new(&machine).schedule(&graph).unwrap();
+            let sched = Scheduler::new(Policy::Bsa, &machine).schedule(&graph).unwrap();
             prop_assert!(sched.ii() >= mii(&graph, &machine));
             assert_legal(&graph, &sched, &machine);
             // The simulator agrees.
@@ -119,7 +116,7 @@ proptest! {
     fn random_loops_schedule_legally_with_the_two_phase_baseline(graph in arb_loop()) {
         prop_assume!(graph.validate().is_ok());
         let machine = MachineConfig::two_cluster(2, 1);
-        let sched = NeScheduler::new(&machine).schedule(&graph).unwrap();
+        let sched = Scheduler::new(Policy::NystromEichenberger, &machine).schedule(&graph).unwrap();
         assert_legal(&graph, &sched, &machine);
     }
 
@@ -132,19 +129,13 @@ proptest! {
     fn all_five_policies_produce_legal_schedules_through_the_shared_engine(graph in arb_loop()) {
         prop_assume!(graph.validate().is_ok());
         let machine = MachineConfig::two_cluster(2, 1);
-        let schedulers: Vec<Box<dyn LoopScheduler>> = vec![
-            Box::new(BsaScheduler::new(&machine)),
-            Box::new(NeScheduler::new(&machine)),
-            Box::new(RoundRobinScheduler::new(&machine)),
-            Box::new(LoadBalancedScheduler::new(&machine)),
-            Box::new(SmsScheduler::new(&machine.unified_counterpart())),
-        ];
-        for scheduler in &schedulers {
-            let out = scheduler
-                .schedule_loop(&graph)
-                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", scheduler.name(), graph.name));
-            let target = scheduler.machine();
-            prop_assert!(out.schedule.ii() >= mii(&graph, target), "{}", scheduler.name());
+        for policy in Policy::ALL {
+            let label = policy.label();
+            let out = policy
+                .schedule(&machine, &graph)
+                .unwrap_or_else(|e| panic!("{label} failed on {}: {e}", graph.name));
+            let target = &policy.target_machine(&machine);
+            prop_assert!(out.schedule.ii() >= mii(&graph, target), "{label}");
             assert_legal(&graph, &out.schedule, target);
             // The diagnostics describe the schedule they came with.
             prop_assert_eq!(out.diagnostics.ii, out.schedule.ii());
@@ -153,7 +144,7 @@ proptest! {
             prop_assert_eq!(
                 out.diagnostics.limited_by_bus(),
                 out.schedule.limited_by_bus,
-                "{}", scheduler.name()
+                "{label}"
             );
             prop_assert_eq!(out.diagnostics.max_live_per_cluster.len(), target.n_clusters);
             prop_assert_eq!(
@@ -173,29 +164,23 @@ proptest! {
     fn all_five_policies_replay_cleanly_with_consistent_cycle_models(graph in arb_loop()) {
         prop_assume!(graph.validate().is_ok());
         let machine = MachineConfig::two_cluster(1, 2);
-        let schedulers: Vec<Box<dyn LoopScheduler>> = vec![
-            Box::new(BsaScheduler::new(&machine)),
-            Box::new(NeScheduler::new(&machine)),
-            Box::new(RoundRobinScheduler::new(&machine)),
-            Box::new(LoadBalancedScheduler::new(&machine)),
-            Box::new(SmsScheduler::new(&machine.unified_counterpart())),
-        ];
-        for scheduler in &schedulers {
-            let out = scheduler
-                .schedule_loop(&graph)
-                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", scheduler.name(), graph.name));
-            let target = scheduler.machine();
+        for policy in Policy::ALL {
+            let label = policy.label();
+            let out = policy
+                .schedule(&machine, &graph)
+                .unwrap_or_else(|e| panic!("{label} failed on {}: {e}", graph.name));
+            let target = &policy.target_machine(&machine);
             let iterations = vliw_sim::verification_iterations(&graph);
             let sim = KernelSimulator::new(target).run(&graph, &out.schedule, iterations);
-            prop_assert!(sim.is_clean(), "{}: {:?}", scheduler.name(), sim.errors);
+            prop_assert!(sim.is_clean(), "{label}: {:?}", sim.errors);
             prop_assert_eq!(
                 sim.cycles,
                 clustered_vliw::lint::static_makespan(&graph, &out.schedule, target, iterations),
-                "{}: replayed and closed-form makespans diverge", scheduler.name()
+                "{label}: replayed and closed-form makespans diverge"
             );
             prop_assert_eq!(sim.analytic_cycles, out.schedule.cycles_for(iterations));
             let report = vliw_sim::check_schedule(target, &graph, &out.schedule, iterations);
-            prop_assert!(report.is_clean(), "{}: {:?}", scheduler.name(), report.findings);
+            prop_assert!(report.is_clean(), "{label}: {:?}", report.findings);
         }
     }
 
@@ -222,8 +207,8 @@ proptest! {
         prop_assume!(graph.validate().is_ok());
         let poor = MachineConfig::four_cluster(1, 2);
         let rich = MachineConfig::four_cluster(2, 1);
-        let sched_poor = BsaScheduler::new(&poor).schedule(&graph).unwrap();
-        let sched_rich = BsaScheduler::new(&rich).schedule(&graph).unwrap();
+        let sched_poor = Scheduler::new(Policy::Bsa, &poor).schedule(&graph).unwrap();
+        let sched_rich = Scheduler::new(Policy::Bsa, &rich).schedule(&graph).unwrap();
         prop_assert!(sched_rich.ii() <= sched_poor.ii(),
             "rich {} > poor {}", sched_rich.ii(), sched_poor.ii());
     }
@@ -353,7 +338,7 @@ proptest! {
     fn explore_never_loses_to_no_unrolling(graph in arb_loop()) {
         prop_assume!(graph.validate().is_ok());
         for machine in [MachineConfig::two_cluster(1, 1), MachineConfig::four_cluster(1, 2)] {
-            let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+            let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
             let none = driver.schedule_with_policy(&graph, UnrollPolicy::None).unwrap();
             let explored = driver
                 .schedule_with_policy(&graph, UnrollPolicy::Explore { max_factor: 4 })

@@ -2,9 +2,7 @@
 //! machine configuration of the paper with every scheduler, then certify each schedule
 //! with the static certifier and replay it in the cycle-level simulator.
 
-use clustered_vliw::core::{
-    BsaScheduler, LoopScheduler, NeScheduler, SelectiveUnroller, UnrollPolicy,
-};
+use clustered_vliw::core::{SelectiveUnroller, UnrollPolicy};
 use clustered_vliw::lint::Certifier;
 use clustered_vliw::prelude::*;
 use clustered_vliw::sim::verification_iterations;
@@ -24,18 +22,6 @@ fn paper_machines() -> Vec<MachineConfig> {
     machines
 }
 
-fn schedulers_for(machine: &MachineConfig) -> Vec<Box<dyn LoopScheduler>> {
-    let mut out: Vec<Box<dyn LoopScheduler>> =
-        vec![Box::new(SmsScheduler::new(&machine.unified_counterpart()))];
-    if machine.is_clustered() {
-        out.push(Box::new(BsaScheduler::new(machine)));
-        out.push(Box::new(NeScheduler::new(machine)));
-    } else {
-        out.push(Box::new(SmsScheduler::new(machine)));
-    }
-    out
-}
-
 #[test]
 fn every_kernel_schedules_validates_and_simulates_everywhere() {
     for machine in paper_machines() {
@@ -44,12 +30,14 @@ fn every_kernel_schedules_validates_and_simulates_everywhere() {
         for (name, graph) in kernels::named_kernels() {
             // The BSA scheduler is the paper's contribution; run it on the clustered
             // machines and the plain SMS scheduler on the unified one.
-            let sched = if machine.is_clustered() {
-                BsaScheduler::new(&machine).schedule(&graph)
+            let policy = if machine.is_clustered() {
+                Policy::Bsa
             } else {
-                SmsScheduler::new(&machine).schedule(&graph)
-            }
-            .unwrap_or_else(|e| panic!("{name} on {}: {e}", machine.name));
+                Policy::UnifiedSms
+            };
+            let sched = Scheduler::new(policy, &machine)
+                .schedule(&graph)
+                .unwrap_or_else(|e| panic!("{name} on {}: {e}", machine.name));
 
             assert!(
                 sched.ii() >= mii(&graph, &machine),
@@ -81,19 +69,15 @@ fn both_cluster_schedulers_validate_on_a_spec_corpus() {
     let machine = MachineConfig::four_cluster(2, 2);
     let certifier = Certifier::new(&machine);
     for graph in corpus.loops.iter().take(10) {
-        for scheduler in schedulers_for(&machine) {
-            if scheduler.name() == "unified-sms" {
-                continue;
-            }
-            let sched = scheduler
-                .schedule_loop(graph)
-                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", scheduler.name(), graph.name))
-                .schedule;
+        for policy in [Policy::Bsa, Policy::NystromEichenberger] {
+            let label = policy.label();
+            let sched = Scheduler::new(policy, &machine)
+                .schedule(graph)
+                .unwrap_or_else(|e| panic!("{label} failed on {}: {e}", graph.name));
             let lint = certifier.check(graph, &sched, verification_iterations(graph));
             assert!(
                 lint.is_certified(),
-                "{} on {}: {:?}",
-                scheduler.name(),
+                "{label} on {}: {:?}",
                 graph.name,
                 lint.diagnostics
             );
@@ -110,8 +94,12 @@ fn clustered_ipc_never_beats_unified_by_much_without_unrolling() {
     let clustered = MachineConfig::four_cluster(1, 1);
     let unified = clustered.unified_counterpart();
     for graph in corpus.loops.iter().take(10) {
-        let c = BsaScheduler::new(&clustered).schedule(graph).unwrap();
-        let u = SmsScheduler::new(&unified).schedule(graph).unwrap();
+        let c = Scheduler::new(Policy::Bsa, &clustered)
+            .schedule(graph)
+            .unwrap();
+        let u = Scheduler::new(Policy::UnifiedSms, &unified)
+            .schedule(graph)
+            .unwrap();
         assert!(
             c.ii() as f64 >= u.ii() as f64 * 0.9,
             "{}: clustered II {} suspiciously better than unified II {}",
@@ -129,7 +117,7 @@ fn selective_unrolling_tracks_full_unrolling_ipc_on_bus_starved_machines() {
     // loops.
     let corpus = LoopCorpus::generate(SpecFp95::Hydro2d);
     let machine = MachineConfig::four_cluster(1, 2);
-    let driver = SelectiveUnroller::new(BsaScheduler::new(&machine));
+    let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
     let mut unrolled_all = 0usize;
     let mut unrolled_selective = 0usize;
     let mut cycles_all = 0u64;
@@ -166,7 +154,9 @@ fn simulated_cycles_match_the_analytic_model_on_clustered_machines() {
     let machine = MachineConfig::two_cluster(1, 2);
     let simulator = KernelSimulator::new(&machine);
     for (name, graph) in kernels::named_kernels() {
-        let sched = BsaScheduler::new(&machine).schedule(&graph).unwrap();
+        let sched = Scheduler::new(Policy::Bsa, &machine)
+            .schedule(&graph)
+            .unwrap();
         let iters = 50;
         let report = simulator.run(&graph, &sched, iters);
         assert!(report.is_clean(), "{name}: {:?}", report.errors);
@@ -184,7 +174,7 @@ fn simulated_cycles_match_the_analytic_model_on_clustered_machines() {
 fn unrolling_preserves_total_work_in_the_simulator() {
     let machine = MachineConfig::two_cluster(2, 1);
     let graph = kernels::stencil3(64);
-    let bsa = BsaScheduler::new(&machine);
+    let bsa = Scheduler::new(Policy::Bsa, &machine);
     let plain = bsa.schedule(&graph).unwrap();
     let unrolled_graph = clustered_vliw::ddg::unroll(&graph, 2);
     let unrolled = bsa.schedule(&unrolled_graph).unwrap();
@@ -212,7 +202,9 @@ fn figure7_numbers_reproduce() {
     assert_eq!(mii(&graph, &machine), 2);
     let unrolled = clustered_vliw::ddg::unroll(&graph, 2);
     assert_eq!(mii(&unrolled, &machine), 4);
-    let sched = BsaScheduler::new(&machine).schedule(&unrolled).unwrap();
+    let sched = Scheduler::new(Policy::Bsa, &machine)
+        .schedule(&unrolled)
+        .unwrap();
     assert!(sched.ii() >= 4);
     assert!(
         sched.comms().len() <= 2,

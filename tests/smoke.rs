@@ -11,7 +11,7 @@ fn paper_example_schedules_on_the_table1_machine_with_bsa() {
     let machine = MachineConfig::clustered(4, 1, 1);
     let graph = paper_example_loop();
 
-    let schedule = BsaScheduler::new(&machine)
+    let schedule = Scheduler::new(Policy::Bsa, &machine)
         .schedule(&graph)
         .expect("paper example must be schedulable with BSA");
     assert!(
@@ -30,7 +30,7 @@ fn paper_example_schedules_on_the_table1_machine_with_sms() {
     // The unified SMS scheduler is the IPC reference; run it on the unified
     // counterpart of the same machine (same total resources, no clustering).
     let unified = machine.unified_counterpart();
-    let schedule = SmsScheduler::new(&unified)
+    let schedule = Scheduler::new(Policy::UnifiedSms, &unified)
         .schedule(&graph)
         .expect("paper example must be schedulable with SMS");
     assert!(
@@ -49,7 +49,9 @@ fn paper_example_schedules_on_the_table1_machine_with_sms() {
 fn bsa_schedule_of_the_paper_example_passes_the_validator_and_simulator() {
     let machine = MachineConfig::clustered(4, 1, 1);
     let graph = paper_example_loop();
-    let schedule = BsaScheduler::new(&machine).schedule(&graph).unwrap();
+    let schedule = Scheduler::new(Policy::Bsa, &machine)
+        .schedule(&graph)
+        .unwrap();
 
     let lint = clustered_vliw::lint::Certifier::new(&machine).check(&graph, &schedule, 16);
     assert!(lint.is_certified(), "violations: {:?}", lint.diagnostics);
