@@ -13,9 +13,8 @@
 //! | `fig_unroll` | beyond the paper: IPC and code size across unroll factors `U ∈ 1..=8` |
 //! | `fig_optgap` | beyond the paper: certified optimality gaps of every policy on the Table-1 machines |
 //!
-//! plus `perf`, the timing harness behind `BENCH_perf.json`.  The repo's
-//! benchmark, with per-layer scheduler timings, is the separate `perfbench/`
-//! package.
+//! The repo's only timing harness, with interleaved repeats and per-layer
+//! scheduler timings, is the separate `perfbench/` package.
 //!
 //! The library is layered:
 //!
@@ -45,7 +44,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vliw_arch::MachineConfig;
 use vliw_ddg::DepGraph;
-use vliw_metrics::{CodeSizeModel, CodeSizeReport, IpcAccountant, IpcView, LoopContribution};
+use vliw_metrics::{CodeSizeModel, CodeSizeReport, IpcView, LoopContribution};
 use vliw_sms::{LimitingResource, ScheduleDiagnostics, ScheduleError};
 use vliw_workloads::LoopCorpus;
 
@@ -76,10 +75,10 @@ impl Algorithm {
 /// Schedule one loop with the given algorithm and policy.
 ///
 /// Measurement hook: when `FUEL_BUDGET_PROBES` is set in the environment the BSA
-/// path runs under a [`vliw_sms::FuelBudget`] of that many probes.  The perf
-/// harness uses this to time the cost of fuel metering on the full Figure 8
-/// sweep; the experiment binaries never set it, so committed artifacts are
-/// produced by the unbudgeted search.
+/// path runs under a [`vliw_sms::FuelBudget`] of that many probes, so its
+/// diagnostics carry the fuel receipt.  The benchmark's traced `fig8_sweep` sets
+/// it to count BSA probes; the experiment binaries never set it, so committed
+/// artifacts are produced by the unbudgeted search.
 pub fn schedule_loop(
     graph: &DepGraph,
     machine: &MachineConfig,
@@ -104,8 +103,7 @@ pub fn schedule_loop(
 
 /// Aggregated engine diagnostics over every loop of a corpus run: how many loops each
 /// resource limited, communication totals and search effort.  Serialized into every
-/// [`CorpusResult`], so any result JSON carries the breakdown the single
-/// `limited_by_bus` flag used to hide.
+/// [`CorpusResult`], so any result JSON carries the per-resource breakdown.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CorpusDiagnostics {
     /// Loops that scheduled at their minimum II.
@@ -174,8 +172,8 @@ pub struct CorpusResult {
 }
 
 impl CorpusResult {
-    /// A borrowed IPC view over the stored contributions — the aggregate queries of
-    /// an [`IpcAccountant`] without cloning a single contribution.
+    /// A borrowed IPC view over the stored contributions, for the aggregate
+    /// queries without cloning a single contribution.
     pub fn ipc_view(&self) -> IpcView<'_> {
         IpcView::new(&self.contributions)
     }
@@ -303,7 +301,7 @@ pub fn run_corpus_audited(
         })
         .collect();
 
-    let mut acc = IpcAccountant::new();
+    let mut contributions = Vec::with_capacity(per_loop.len());
     let mut code = CodeSizeReport::zero();
     let mut diagnostics = CorpusDiagnostics::default();
     let mut unrolled_loops = 0usize;
@@ -315,7 +313,7 @@ pub fn run_corpus_audited(
                 if unrolled {
                     unrolled_loops += 1;
                 }
-                acc.add(contribution);
+                contributions.push(contribution);
                 code.accumulate(size);
                 diagnostics.absorb(&diag);
             }
@@ -326,11 +324,11 @@ pub fn run_corpus_audited(
         machine: machine.name.clone(),
         algorithm,
         policy: policy.label(),
-        ipc: acc.ipc(),
+        ipc: IpcView::new(&contributions).ipc(),
         unrolled_loops,
         failed_loops,
         code_size: code,
-        contributions: acc.contributions().to_vec(),
+        contributions,
         diagnostics,
     }
 }
@@ -369,12 +367,13 @@ pub fn verify_from_env() -> bool {
 
 /// Whether the experiment binaries run on shrunk corpora, from the
 /// `FAST_EXPERIMENTS` environment variable (set it to anything but `0`).
-pub fn fast_from_env() -> bool {
+fn fast_from_env() -> bool {
     flag_on(std::env::var("FAST_EXPERIMENTS").ok().as_deref())
 }
 
 /// The standard corpus used by all experiment binaries, optionally shrunk by the
-/// `FAST_EXPERIMENTS` environment variable (useful in CI; see [`fast_from_env`]).
+/// `FAST_EXPERIMENTS` environment variable (useful in CI; set it to anything but
+/// `0`).
 pub fn standard_corpora() -> Vec<LoopCorpus> {
     let mut corpora = LoopCorpus::all();
     if fast_from_env() {

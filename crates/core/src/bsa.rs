@@ -551,12 +551,13 @@ mod tests {
             .flow_at("D", "A", 1)
             .build();
         let scheduler = bsa(&machine);
-        let first = scheduler.schedule(&g).unwrap();
+        let out = scheduler.schedule_diag(&g).unwrap();
+        let first = out.schedule;
         assert_valid(&g, &first, &machine);
         // The back-off path was genuinely taken: the II had to be raised above MII
         // *because of the bus*, which is exactly the `LimitedByBus` predicate.
         assert!(first.ii() > first.mii);
-        assert!(first.limited_by_bus);
+        assert!(out.diagnostics.limited_by_bus());
         // Re-scheduling with the same scheduler and with a fresh one must agree —
         // this catches state leaking across the reused scratch buffers.
         let second = scheduler.schedule(&g).unwrap();

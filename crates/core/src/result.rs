@@ -245,6 +245,5 @@ mod tests {
         let cs = ClusterSchedule::from_original(&g, sched);
         assert_eq!(cs.diagnostics.ii, cs.schedule.ii());
         assert_eq!(cs.diagnostics.n_comms, cs.schedule.comms().len());
-        assert_eq!(cs.diagnostics.limited_by_bus(), cs.schedule.limited_by_bus);
     }
 }

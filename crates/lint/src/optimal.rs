@@ -5,8 +5,8 @@
 //! upward from `MII = max(ResMII, RecMII)` and, at each II, runs a depth-first
 //! search over per-node `(cluster, cycle, functional unit)` placements against
 //! the exact same feasibility primitives the production engine uses — the
-//! [`vliw_sms::ModuloReservationTable`], the bus allocator
-//! ([`vliw_sms::allocate_comms`] over [`vliw_sms::required_comms`]), the
+//! [`vliw_sms::ModuloReservationTable`], the bus requests
+//! ([`vliw_sms::required_comms`], assigned to bus slots exhaustively), the
 //! dependence windows ([`vliw_sms::early_start`] / [`vliw_sms::late_start`]) and
 //! the incremental register-pressure check ([`vliw_sms::PressureTracker`],
 //! committed per placement and re-committed after each backtrack) — so the
@@ -32,8 +32,8 @@
 //!   component shifts by multiples of II).  Violating placements set the caveat.
 //! * **Register rejections.** Shifting a placement changes value lifetimes, so
 //!   any trial rejected by the register files marks the search incomplete.
-//! * **Bus rows.** Unlike the production engine's greedy
-//!   [`vliw_sms::allocate_comms`], the solver branches over *every* start
+//! * **Bus rows.** Unlike the production engine's greedy bus allocator, the
+//!   solver branches over *every* start
 //!   cycle in each transfer's window (with cross-request and cross-placement
 //!   backtracking), so bus allocation is exact on the common configurations:
 //!   single-cycle transfers occupy one MRT column (any free row is as good as
@@ -525,9 +525,9 @@ impl<'a> Dfs<'a> {
     /// `node` at `(cluster, cycle, fu)`, then commit the placement and expand
     /// the next node.  Every start cycle in a request's window is a branch
     /// point, so exhausting the assignments (in concert with the placement
-    /// backtracking above) is exact — unlike the production engine's
-    /// [`vliw_sms::allocate_comms`], which greedily takes the first free start
-    /// per transfer and cannot revisit the choice.
+    /// backtracking above) is exact — unlike the production engine's bus
+    /// allocator, which greedily takes the first free start per transfer and
+    /// cannot revisit the choice.
     ///
     /// Two reductions keep this exact without branching:
     ///

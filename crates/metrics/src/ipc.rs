@@ -73,11 +73,11 @@ impl LoopContribution {
     }
 }
 
-/// A borrowed, allocation-free view over a slice of [`LoopContribution`]s exposing
-/// the same aggregate queries as [`IpcAccountant`].
+/// A borrowed, allocation-free view over a slice of [`LoopContribution`]s: the
+/// benchmark-level IPC and its totals.
 ///
-/// Use this to re-derive IPC from contributions that already live somewhere (e.g. a
-/// stored corpus result) without cloning each contribution into a fresh accountant.
+/// Collect the contributions into a `Vec` (or keep them wherever they already
+/// live, e.g. a stored corpus result) and aggregate through a view.
 #[derive(Debug, Clone, Copy)]
 pub struct IpcView<'a> {
     contributions: &'a [LoopContribution],
@@ -140,65 +140,6 @@ impl<'a> IpcView<'a> {
     }
 }
 
-/// Accumulates loop contributions into a benchmark-level IPC.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct IpcAccountant {
-    contributions: Vec<LoopContribution>,
-}
-
-impl IpcAccountant {
-    /// An empty accountant.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one loop's contribution.
-    pub fn add(&mut self, contribution: LoopContribution) {
-        self.contributions.push(contribution);
-    }
-
-    /// The contributions added so far.
-    pub fn contributions(&self) -> &[LoopContribution] {
-        &self.contributions
-    }
-
-    /// A borrowed [`IpcView`] over the accumulated contributions.
-    pub fn view(&self) -> IpcView<'_> {
-        IpcView::new(&self.contributions)
-    }
-
-    /// Total cycles over all loops and invocations.
-    pub fn total_cycles(&self) -> u64 {
-        self.view().total_cycles()
-    }
-
-    /// Total useful operations over all loops and invocations.
-    pub fn total_ops(&self) -> u64 {
-        self.view().total_ops()
-    }
-
-    /// Instructions (useful operations) per cycle.
-    pub fn ipc(&self) -> f64 {
-        self.view().ipc()
-    }
-
-    /// IPC of `self` relative to `baseline` (the unified configuration in the paper's
-    /// figures).
-    pub fn relative_to(&self, baseline: &IpcAccountant) -> f64 {
-        self.view().relative_to(&baseline.view())
-    }
-
-    /// Number of loops accounted.
-    pub fn len(&self) -> usize {
-        self.contributions.len()
-    }
-
-    /// Whether no loop has been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.contributions.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,14 +159,14 @@ mod tests {
 
     #[test]
     fn single_loop_ipc_matches_hand_computation() {
-        let mut acc = IpcAccountant::new();
         // II=2, SC=3, 100 iterations, 6 ops per iteration, 10 invocations.
-        acc.add(contribution(2, 3, 100, 6, 10));
+        let loops = [contribution(2, 3, 100, 6, 10)];
+        let view = IpcView::new(&loops);
         let cycles = (100 + 3 - 1) * 2 * 10;
         let ops = 6 * 100 * 10;
-        assert_eq!(acc.total_cycles(), cycles);
-        assert_eq!(acc.total_ops(), ops);
-        assert!((acc.ipc() - ops as f64 / cycles as f64).abs() < 1e-12);
+        assert_eq!(view.total_cycles(), cycles);
+        assert_eq!(view.total_ops(), ops);
+        assert!((view.ipc() - ops as f64 / cycles as f64).abs() < 1e-12);
     }
 
     #[test]
@@ -244,59 +185,51 @@ mod tests {
     fn invocation_weighting_shifts_the_aggregate() {
         // A fast loop executed rarely and a slow loop executed often: the aggregate
         // must sit near the slow loop's IPC.
-        let mut acc = IpcAccountant::new();
-        acc.add(contribution(1, 2, 100, 8, 1)); // IPC ~ 8
-        acc.add(contribution(8, 2, 100, 8, 100)); // IPC ~ 1
-        assert!(acc.ipc() < 1.5);
+        let loops = [
+            contribution(1, 2, 100, 8, 1),   // IPC ~ 8
+            contribution(8, 2, 100, 8, 100), // IPC ~ 1
+        ];
+        assert!(IpcView::new(&loops).ipc() < 1.5);
     }
 
     #[test]
     fn relative_ipc_is_one_for_identical_accountants() {
-        let mut a = IpcAccountant::new();
-        a.add(contribution(3, 2, 50, 5, 7));
+        let a = vec![contribution(3, 2, 50, 5, 7)];
         let b = a.clone();
-        assert!((a.relative_to(&b) - 1.0).abs() < 1e-12);
+        assert!((IpcView::new(&a).relative_to(&IpcView::new(&b)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn prologue_epilogue_overhead_shows_up_for_short_loops() {
         // Same loop body, 1000 vs 8 iterations: the short loop pays proportionally more
         // prologue/epilogue and must have lower IPC.
-        let long = {
-            let mut acc = IpcAccountant::new();
-            acc.add(contribution(2, 5, 1000, 6, 1));
-            acc
-        };
-        let short = {
-            let mut acc = IpcAccountant::new();
-            acc.add(contribution(2, 5, 8, 6, 1));
-            acc
-        };
-        assert!(short.ipc() < long.ipc());
+        let long = [contribution(2, 5, 1000, 6, 1)];
+        let short = [contribution(2, 5, 8, 6, 1)];
+        assert!(IpcView::new(&short).ipc() < IpcView::new(&long).ipc());
     }
 
     #[test]
     fn view_matches_accountant_without_cloning() {
-        let mut acc = IpcAccountant::new();
-        acc.add(contribution(2, 3, 100, 6, 10));
-        acc.add(contribution(5, 2, 40, 3, 2));
-        let view = IpcView::new(acc.contributions());
-        assert_eq!(view.total_cycles(), acc.total_cycles());
-        assert_eq!(view.total_ops(), acc.total_ops());
-        assert_eq!(view.ipc(), acc.ipc());
+        // The view's totals are the per-loop totals summed by hand.
+        let loops = [contribution(2, 3, 100, 6, 10), contribution(5, 2, 40, 3, 2)];
+        let view = IpcView::new(&loops);
+        let cycles: u64 = loops.iter().map(LoopContribution::total_cycles).sum();
+        let ops: u64 = loops.iter().map(LoopContribution::total_ops).sum();
+        assert_eq!(view.total_cycles(), cycles);
+        assert_eq!(view.total_ops(), ops);
+        assert_eq!(view.ipc(), ops as f64 / cycles as f64);
+        assert_eq!(view.contributions(), &loops);
         assert_eq!(view.len(), 2);
         assert!(!view.is_empty());
         assert!((view.relative_to(&view) - 1.0).abs() < 1e-12);
-        assert!(IpcView::new(&[]).is_empty());
-        assert_eq!(IpcView::new(&[]).ipc(), 0.0);
     }
 
     #[test]
     fn empty_accountant_reports_zero() {
-        let acc = IpcAccountant::new();
-        assert!(acc.is_empty());
-        assert_eq!(acc.ipc(), 0.0);
-        assert_eq!(acc.relative_to(&IpcAccountant::new()), 0.0);
+        let view = IpcView::new(&[]);
+        assert!(view.is_empty());
+        assert_eq!(view.ipc(), 0.0);
+        assert_eq!(view.relative_to(&IpcView::new(&[])), 0.0);
     }
 
     #[test]

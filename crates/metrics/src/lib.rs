@@ -24,5 +24,5 @@ pub mod ipc;
 pub mod table;
 
 pub use codesize::{CodeSizeModel, CodeSizeReport};
-pub use ipc::{IpcAccountant, IpcView, LoopContribution};
+pub use ipc::{IpcView, LoopContribution};
 pub use table::TextTable;

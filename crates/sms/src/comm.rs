@@ -13,7 +13,8 @@
 //! where some bus is free for `bus latency` consecutive cycles.  A value already
 //! transferred to a cluster is *not* transferred again (the paper's Figure 7 walks
 //! through exactly this case: "value from D − value from A was previously brought"),
-//! so the allocator first checks the communications recorded so far.
+//! so a probe drops every request a recorded communication already covers before
+//! the allocator looks for a bus.
 
 use crate::mrt::ModuloReservationTable;
 use crate::schedule::{CommPlacement, ModuloSchedule};
@@ -145,9 +146,9 @@ struct CommTemplate {
 /// the remote neighbours, the merge structure and the committed transfers are all
 /// fixed.  `ProbeComms` computes them once ([`ProbeComms::collect`]) and then
 /// materializes the per-cycle requests ([`ProbeComms::requests_at`]) by shifting the
-/// affine window bounds, dropping requests a committed transfer already covers (the
-/// check [`allocate_comms`] would otherwise re-scan the comm list for).  The engine
-/// debug-asserts every materialization against the from-scratch derivation.
+/// affine window bounds, dropping requests a committed transfer already covers, so
+/// the bus allocator never re-scans the comm list.  The engine debug-asserts every
+/// materialization against the from-scratch derivation.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeComms {
     templates: Vec<CommTemplate>,
@@ -288,9 +289,9 @@ impl ProbeComms {
 
 /// Outcome of trying to allocate a set of communication requests.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommAllocation {
+pub(crate) enum CommAllocation {
     /// All requests satisfied; the new communications (already reserved in the MRT
-    /// passed to [`allocate_comms`]) are listed.
+    /// passed to [`allocate_uncovered_comms`]) are listed.
     Satisfied(Vec<CommPlacement>),
     /// At least one request could not be satisfied because no bus slot fits the
     /// window.  The MRT is left unchanged.
@@ -300,43 +301,14 @@ pub enum CommAllocation {
     WindowTooSmall,
 }
 
-impl CommAllocation {
-    /// Whether the allocation succeeded.
-    pub fn is_satisfied(&self) -> bool {
-        matches!(self, CommAllocation::Satisfied(_))
-    }
-}
-
 /// Try to allocate buses for all `requests`, reserving slots in `mrt`.
 ///
-/// Requests already covered by an earlier communication of the same value to the same
-/// cluster (with a compatible arrival time) are skipped.  On failure every reservation
-/// made for this call is rolled back and the MRT is unchanged.
-pub fn allocate_comms(
-    requests: &[CommRequest],
-    sched: &ModuloSchedule,
-    pool: &ResourcePool,
-    mrt: &mut ModuloReservationTable,
-    machine: &MachineConfig,
-) -> CommAllocation {
-    allocate_comms_inner(requests, Some(sched), pool, mrt, machine)
-}
-
-/// [`allocate_comms`] for pre-filtered requests: the caller guarantees no request is
-/// covered by a committed transfer ([`ProbeComms::requests_at`] dropped those), so
-/// only reuse between the requests of this call is checked.
+/// The caller guarantees no request is covered by a committed transfer
+/// ([`ProbeComms::requests_at`] dropped those), so only reuse between the requests
+/// of this call is checked.  On failure every reservation made for this call is
+/// rolled back and the MRT is unchanged.
 pub(crate) fn allocate_uncovered_comms(
     requests: &[CommRequest],
-    pool: &ResourcePool,
-    mrt: &mut ModuloReservationTable,
-    machine: &MachineConfig,
-) -> CommAllocation {
-    allocate_comms_inner(requests, None, pool, mrt, machine)
-}
-
-fn allocate_comms_inner(
-    requests: &[CommRequest],
-    sched: Option<&ModuloSchedule>,
     pool: &ResourcePool,
     mrt: &mut ModuloReservationTable,
     machine: &MachineConfig,
@@ -352,12 +324,12 @@ fn allocate_comms_inner(
         }
     };
 
-    let committed = sched.map_or(&[][..], |s| s.comms());
     for req in requests {
-        // Re-use an existing transfer of the same value to the same cluster if it
-        // arrives in time and was not sent before the value was ready (modulo-II
-        // periodicity makes any earlier compatible transfer usable every iteration).
-        let reused = committed.iter().chain(new_comms.iter()).any(|c| {
+        // Re-use a transfer of the same value to the same cluster made for an
+        // earlier request of this call if it arrives in time and was not sent
+        // before the value was ready (modulo-II periodicity makes any earlier
+        // compatible transfer usable every iteration).
+        let reused = new_comms.iter().any(|c| {
             c.src_node == req.src_node
                 && c.to_cluster == req.to_cluster
                 && c.start_cycle >= req.ready
@@ -483,7 +455,6 @@ mod tests {
     fn allocation_reserves_a_bus_and_rolls_back_on_failure() {
         let (machine, pool) = two_cluster();
         let mut mrt = ModuloReservationTable::new(&pool, 2);
-        let sched = ModuloSchedule::new("x", 2, 2, 1);
         let req = CommRequest {
             src_node: NodeId(0),
             dst_node: NodeId(1),
@@ -492,7 +463,7 @@ mod tests {
             ready: 2,
             deadline: 5,
         };
-        let result = allocate_comms(&[req], &sched, &pool, &mut mrt, &machine);
+        let result = allocate_uncovered_comms(&[req], &pool, &mut mrt, &machine);
         let CommAllocation::Satisfied(comms) = result else {
             panic!("expected success")
         };
@@ -512,7 +483,7 @@ mod tests {
             ..req
         };
         let before = mrt.row_occupancy(bus);
-        let result = allocate_comms(&[req2, req3], &sched, &pool, &mut mrt, &machine);
+        let result = allocate_uncovered_comms(&[req2, req3], &pool, &mut mrt, &machine);
         assert_eq!(result, CommAllocation::BusUnavailable);
         // rollback left the table untouched
         assert_eq!(mrt.row_occupancy(bus), before);
@@ -523,7 +494,6 @@ mod tests {
         let machine = MachineConfig::two_cluster(1, 4); // 4-cycle buses
         let pool = ResourcePool::new(&machine);
         let mut mrt = ModuloReservationTable::new(&pool, 8);
-        let sched = ModuloSchedule::new("x", 2, 8, 1);
         let req = CommRequest {
             src_node: NodeId(0),
             dst_node: NodeId(1),
@@ -532,43 +502,46 @@ mod tests {
             ready: 2,
             deadline: 4, // only 2 cycles of slack, bus needs 4
         };
-        let result = allocate_comms(&[req], &sched, &pool, &mut mrt, &machine);
+        let result = allocate_uncovered_comms(&[req], &pool, &mut mrt, &machine);
         assert_eq!(result, CommAllocation::WindowTooSmall);
     }
 
     #[test]
     fn existing_transfer_is_reused() {
-        let (machine, pool) = two_cluster();
-        let mut mrt = ModuloReservationTable::new(&pool, 4);
-        let mut sched = ModuloSchedule::new("x", 3, 4, 1);
+        let (_, pool) = two_cluster();
+        // Node 0 (a load on cluster 0) feeds two consumers on cluster 1.
+        let mut g = DepGraph::new("fanout");
+        let a = g.add_node(OpClass::Load);
+        let b = g.add_node(OpClass::FpAdd);
+        let c = g.add_node(OpClass::FpAdd);
+        g.add_edge(a, b, 2, 0, DepKind::Flow);
+        g.add_edge(a, c, 2, 0, DepKind::Flow);
+        let mut sched = ModuloSchedule::new("fanout", 3, 4, 1);
+        sched.place(PlacedOp {
+            node: a,
+            cycle: 0,
+            cluster: 0,
+            fu: pool.fus(0, FuKind::Mem).next().unwrap(),
+        });
         // A transfer of node 0's value to cluster 1 already exists (cycles 2..3).
-        let bus = pool.buses().next().unwrap();
-        mrt.reserve_for(bus, 2, 1);
         sched.add_comm(CommPlacement {
-            src_node: NodeId(0),
-            dst_node: NodeId(1),
+            src_node: a,
+            dst_node: b,
             from_cluster: 0,
             to_cluster: 1,
-            bus,
+            bus: pool.buses().next().unwrap(),
             start_cycle: 2,
             duration: 1,
         });
         // A second consumer of the same value on cluster 1, later in time: no new
-        // transfer is needed.
-        let req = CommRequest {
-            src_node: NodeId(0),
-            dst_node: NodeId(2),
-            from_cluster: 0,
-            to_cluster: 1,
-            ready: 2,
-            deadline: 9,
-        };
-        let result = allocate_comms(&[req], &sched, &pool, &mut mrt, &machine);
-        let CommAllocation::Satisfied(comms) = result else {
-            panic!("expected success")
-        };
-        assert!(comms.is_empty());
-        assert_eq!(mrt.row_occupancy(bus), 1);
+        // transfer is needed.  Too early for the committed transfer, it still is.
+        let mut probe = ProbeComms::default();
+        probe.collect(&g, &sched, c, 1);
+        assert!(probe.requests_at(5).is_empty());
+        let early = probe.requests_at(2).to_vec();
+        assert_eq!(early.len(), 1);
+        assert_eq!((early[0].src_node, early[0].dst_node), (a, c));
+        assert_eq!((early[0].ready, early[0].deadline), (2, 2));
     }
 
     #[test]

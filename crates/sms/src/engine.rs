@@ -136,11 +136,6 @@ impl<'a> EngineView<'a> {
         self.sched
     }
 
-    /// The node ordering (and graph analysis) driving this attempt.
-    pub fn ordering(&self) -> &'a OrderingContext {
-        self.ctx
-    }
-
     /// Cluster each already-committed node was placed in (`None` = not yet placed),
     /// indexed by node.  This is the engine-maintained bookkeeping BSA's profit
     /// heuristic reads.
@@ -702,7 +697,6 @@ impl<'m> IiSearchDriver<'m> {
                             PressureTracker::of_schedule(graph, &sched, self.machine).max_live(),
                             "committed pressure diverged from the from-scratch fold"
                         );
-                        sched.limited_by_bus = bus_seen && sched.ii() > mii;
                         // A failed ordering at the *successful* II (the SMS order
                         // failed, the topological fallback succeeded) still belongs
                         // to the trajectory.
@@ -1066,7 +1060,6 @@ mod tests {
         assert!(out.schedule.ii() > out.diagnostics.mii);
         assert_eq!(out.diagnostics.limiting, LimitingResource::Bus);
         assert!(out.diagnostics.limited_by_bus());
-        assert!(out.schedule.limited_by_bus);
         assert!(!out.diagnostics.ii_trajectory.is_empty());
         assert!(out
             .diagnostics

@@ -42,7 +42,7 @@ pub mod pressure;
 pub mod schedule;
 pub mod slots;
 
-pub use comm::{allocate_comms, required_comms, CommAllocation, CommRequest};
+pub use comm::{required_comms, CommRequest};
 pub use containment::{contain, contain_schedule};
 pub use engine::{
     ClusterPolicy, EngineView, FixedAssignmentPolicy, IiSearchDriver, IiStep, LimitingResource,
@@ -50,7 +50,7 @@ pub use engine::{
 };
 pub use fuel::{Deadline, FuelBudget, FuelMeter, FuelSpent, FuelStop};
 pub use mrt::{ModuloReservationTable, Reservation};
-pub use ordering::{sms_order, OrderingContext};
+pub use ordering::sms_order;
 pub use pressure::{cluster_max_live, PressureTracker};
 pub use schedule::{
     CommPlacement, ModuloSchedule, PlacedOp, ScheduleCheckpoint, ScheduleError, SlotMap,

@@ -21,10 +21,10 @@ use crate::schedule::ModuloSchedule;
 use std::collections::BTreeSet;
 use vliw_ddg::{recurrences, DepGraph, GraphAnalysis, NodeId};
 
-/// Precomputed data used by the ordering and reusable by schedulers (priority metrics
-/// at the candidate II).
+/// The node order of one II attempt plus the priority metrics it was built from
+/// (the engine's ASAP default start reads them).
 #[derive(Debug, Clone)]
-pub struct OrderingContext {
+pub(crate) struct OrderingContext {
     /// Priority metrics (ASAP/ALAP/mobility/…) at the candidate II.
     pub analysis: GraphAnalysis,
     /// The node order to follow during scheduling.
@@ -32,29 +32,6 @@ pub struct OrderingContext {
 }
 
 impl OrderingContext {
-    /// Compute the SMS ordering of `graph` for candidate initiation interval `ii`.
-    ///
-    /// Returns a message (mapped by callers into
-    /// [`crate::ScheduleError::DegenerateGraph`]) instead of panicking when the
-    /// graph defeats the ordering's structural invariants.
-    pub fn new(graph: &DepGraph, ii: u32) -> Result<Self, String> {
-        let analysis = GraphAnalysis::new(graph, ii);
-        let order = order_nodes(graph, &analysis)?;
-        Ok(Self { analysis, order })
-    }
-
-    /// A fallback ordering: topological over the zero-distance edges (priority by
-    /// ASAP, then height).  Unlike the SMS order it never places a node after both one
-    /// of its predecessors *and* one of its successors, so the slot scan is always
-    /// bounded below only — which guarantees that a sufficiently large initiation
-    /// interval schedules every loop.  The schedulers fall back to it when the SMS
-    /// order fails at an II (rare, but possible for irregular graphs).
-    pub fn topological(graph: &DepGraph, ii: u32) -> Result<Self, String> {
-        let analysis = GraphAnalysis::new(graph, ii);
-        let order = topological_order(graph, &analysis)?;
-        Ok(Self { analysis, order })
-    }
-
     /// Whether `node` starts a new connected subgraph in the order, i.e. none of its
     /// direct neighbours appears earlier in the order.  The paper's BSA uses this to
     /// rotate the default cluster (Figure 5, step 2).
@@ -81,9 +58,13 @@ pub fn sms_order(graph: &DepGraph, ii: u32) -> Result<Vec<NodeId>, String> {
     order_nodes(graph, &analysis)
 }
 
-/// Topological order over the zero-distance edges, prioritised by ASAP then height
-/// (see [`OrderingContext::topological`]).  Fails (instead of silently returning a
-/// partial order) when the zero-distance subgraph contains a cycle.
+/// A fallback ordering: topological over the zero-distance edges, prioritised by
+/// ASAP then height.  Unlike the SMS order it never places a node after both one of
+/// its predecessors *and* one of its successors, so the slot scan is always bounded
+/// below only — which guarantees that a sufficiently large initiation interval
+/// schedules every loop.  The engine falls back to it when the SMS order fails at an
+/// II (rare, but possible for irregular graphs).  Fails (instead of silently
+/// returning a partial order) when the zero-distance subgraph contains a cycle.
 pub fn topological_order(
     graph: &DepGraph,
     analysis: &GraphAnalysis,
@@ -500,7 +481,10 @@ mod tests {
     #[test]
     fn ordering_context_detects_new_subgraphs() {
         let g = saxpy();
-        let ctx = OrderingContext::new(&g, 1).unwrap();
+        let ctx = OrderingContext {
+            analysis: GraphAnalysis::new(&g, 1),
+            order: sms_order(&g, 1).unwrap(),
+        };
         let sched = ModuloSchedule::new("saxpy", g.n_nodes(), 1, 1);
         // Nothing scheduled yet: the first node starts a new subgraph.
         assert!(ctx.starts_new_subgraph(&g, &sched, ctx.order[0]));
@@ -516,10 +500,8 @@ mod tests {
     fn empty_graph_orders_to_an_empty_sequence() {
         let g = DepGraph::new("empty");
         assert_eq!(sms_order(&g, 1).unwrap(), vec![]);
-        let ctx = OrderingContext::new(&g, 1).unwrap();
-        assert!(ctx.order.is_empty());
-        let topo = OrderingContext::topological(&g, 1).unwrap();
-        assert!(topo.order.is_empty());
+        let topo = topological_order(&g, &GraphAnalysis::new(&g, 1)).unwrap();
+        assert!(topo.is_empty());
     }
 
     #[test]
@@ -527,7 +509,8 @@ mod tests {
         let mut g = DepGraph::new("one");
         let n = g.add_node(OpClass::Load);
         assert_eq!(sms_order(&g, 1).unwrap(), vec![n]);
-        assert_eq!(OrderingContext::topological(&g, 1).unwrap().order, vec![n]);
+        let topo = topological_order(&g, &GraphAnalysis::new(&g, 1)).unwrap();
+        assert_eq!(topo, vec![n]);
     }
 
     #[test]
@@ -540,8 +523,8 @@ mod tests {
         }
         let order = sms_order(&g, 1).unwrap();
         check_order_property(&g, &order);
-        let topo = OrderingContext::topological(&g, 1).unwrap();
-        assert_eq!(topo.order.len(), 5);
+        let topo = topological_order(&g, &GraphAnalysis::new(&g, 1)).unwrap();
+        assert_eq!(topo.len(), 5);
     }
 
     #[test]

@@ -145,10 +145,6 @@ pub struct ModuloSchedule {
     /// Journal of placements in the order they were made; [`ModuloSchedule::rollback`]
     /// pops it to undo tentative placements without cloning the schedule.
     placed_log: Vec<NodeId>,
-    /// Whether the scheduler had to raise the II above MII because the communication
-    /// buses were saturated (as opposed to FU or recurrence pressure).  This is the
-    /// `LimitedByBus` predicate of the selective-unrolling algorithm (Figure 6).
-    pub limited_by_bus: bool,
     /// The minimum II (max of ResMII and RecMII) of the loop on the target machine.
     pub mii: u32,
 }
@@ -163,7 +159,6 @@ impl ModuloSchedule {
             ops: vec![None; n_nodes],
             comms: Vec::new(),
             placed_log: Vec::with_capacity(n_nodes),
-            limited_by_bus: false,
             mii,
         }
     }
@@ -415,17 +410,12 @@ impl ModuloSchedule {
     /// A short human-readable summary (II, SC, #comms).
     pub fn summary(&self) -> String {
         format!(
-            "{}: II={} (MII={}), SC={}, comms={}{}",
+            "{}: II={} (MII={}), SC={}, comms={}",
             self.loop_name,
             self.ii,
             self.mii,
             self.stage_count(),
-            self.comms.len(),
-            if self.limited_by_bus {
-                ", bus-limited"
-            } else {
-                ""
-            }
+            self.comms.len()
         )
     }
 }
@@ -725,11 +715,17 @@ mod tests {
     }
 
     #[test]
-    fn summary_mentions_bus_limitation() {
+    fn summary_names_ii_mii_stage_count_and_comms() {
         let machine = MachineConfig::unified();
-        let mut s = place_tiny(&machine);
-        assert!(!s.summary().contains("bus-limited"));
-        s.limited_by_bus = true;
-        assert!(s.summary().contains("bus-limited"));
+        let s = place_tiny(&machine);
+        let expected = format!(
+            "{}: II={} (MII={}), SC={}, comms={}",
+            s.loop_name,
+            s.ii(),
+            s.mii,
+            s.stage_count(),
+            s.comms().len()
+        );
+        assert_eq!(s.summary(), expected);
     }
 }

@@ -25,8 +25,9 @@ pub struct FuzzCase {
 }
 
 /// SplitMix64 — the standard seed mixer; keeps per-case streams statistically
-/// independent even though case indices are consecutive.
-fn mix(mut z: u64) -> u64 {
+/// independent even though case indices are consecutive.  The fault planner
+/// salts the same mixer.
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -24,7 +24,7 @@
 //! thread counts — `results/fault_campaign.json` is golden-tested like the figure
 //! artifacts.
 
-use crate::case::generate_case;
+use crate::case::{generate_case, mix};
 use cvliw_core::bsa::BsaPolicy;
 use cvliw_core::{ResilientScheduler, RungError};
 use rayon::prelude::*;
@@ -93,19 +93,12 @@ pub struct FaultPlan {
     pub at_step: u64,
 }
 
-/// SplitMix64 — same mixer as the case generator, so plans are independent of the
-/// case streams they ride on.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// Sample the plan for one case from its seed: kind uniform over
     /// [`FaultKind::ALL`], arming step in `0..8` (early enough to fire on
-    /// virtually every generated loop).
+    /// virtually every generated loop).  The case generator's SplitMix64 mixer
+    /// with fault-specific salts keeps plans independent of the case streams
+    /// they ride on.
     pub fn sample(case_seed: u64) -> Self {
         let kind = FaultKind::ALL[(mix(case_seed ^ 0x00FA_0175) % 4) as usize];
         let at_step = mix(case_seed ^ 0x0057_E900) % 8;

@@ -7,17 +7,17 @@
 //! apsi, fpppp, wave5 (default: hydro2d).
 
 use clustered_vliw::core::{LoopScheduler, SelectiveUnroller, UnrollPolicy};
-use clustered_vliw::metrics::{IpcAccountant, LoopContribution, TextTable};
+use clustered_vliw::metrics::{IpcView, LoopContribution, TextTable};
 use clustered_vliw::prelude::*;
 
 fn corpus_ipc<S: LoopScheduler>(corpus: &LoopCorpus, scheduler: S, policy: UnrollPolicy) -> f64 {
     let driver = SelectiveUnroller::new(scheduler);
-    let mut acc = IpcAccountant::new();
+    let mut contributions = Vec::new();
     for graph in &corpus.loops {
         let result = driver
             .schedule_with_policy(graph, policy)
             .expect("corpus loops are schedulable");
-        acc.add(LoopContribution::new(
+        contributions.push(LoopContribution::new(
             &result.schedule,
             result.scheduled_graph.iterations,
             result.original_ops,
@@ -26,7 +26,7 @@ fn corpus_ipc<S: LoopScheduler>(corpus: &LoopCorpus, scheduler: S, policy: Unrol
             result.unroll_factor,
         ));
     }
-    acc.ipc()
+    IpcView::new(&contributions).ipc()
 }
 
 fn main() {

@@ -6,7 +6,7 @@
 
 use clustered_vliw::core::{SelectiveUnroller, UnrollPolicy};
 use clustered_vliw::metrics::{
-    CodeSizeModel, CodeSizeReport, IpcAccountant, LoopContribution, TextTable,
+    CodeSizeModel, CodeSizeReport, IpcView, LoopContribution, TextTable,
 };
 use clustered_vliw::prelude::*;
 
@@ -29,7 +29,7 @@ fn main() {
         for policy in UnrollPolicy::ALL {
             let driver = SelectiveUnroller::new(Scheduler::new(Policy::Bsa, &machine));
             let code_model = CodeSizeModel::new(&machine);
-            let mut acc = IpcAccountant::new();
+            let mut contributions = Vec::new();
             let mut code = CodeSizeReport::zero();
             let mut unrolled = 0usize;
             for graph in &corpus.loops {
@@ -37,7 +37,7 @@ fn main() {
                 if result.unroll_factor > 1 {
                     unrolled += 1;
                 }
-                acc.add(LoopContribution::new(
+                contributions.push(LoopContribution::new(
                     &result.schedule,
                     result.scheduled_graph.iterations,
                     result.original_ops,
@@ -52,7 +52,7 @@ fn main() {
             table.row([
                 corpus.benchmark.name().to_string(),
                 policy.label().to_string(),
-                format!("{:.2}", acc.ipc()),
+                format!("{:.2}", IpcView::new(&contributions).ipc()),
                 format!("{unrolled}/{}", corpus.len()),
                 code.useful_ops.to_string(),
                 code.total_slots.to_string(),

@@ -47,6 +47,7 @@ fn main() {
         .schedule_with_policy(&graph, UnrollPolicy::Selective)
         .expect("saxpy is schedulable");
     println!("Schedule: {}", result.schedule.summary());
+    println!("Bus-limited: {}", result.diagnostics.limited_by_bus());
     println!("Unroll factor: {}", result.unroll_factor);
     println!("IPC of this loop: {:.2}\n", result.ipc());
 

@@ -39,7 +39,7 @@ pub mod prelude {
     pub use cvliw_core::{ClusterSchedule, Policy, Scheduler, SelectiveUnroller, UnrollPolicy};
     pub use vliw_arch::{BusConfig, FuKind, MachineConfig, Operation};
     pub use vliw_ddg::{DepGraph, DepKind, Edge, Node, NodeId};
-    pub use vliw_metrics::{CodeSizeModel, IpcAccountant};
+    pub use vliw_metrics::{CodeSizeModel, IpcView};
     pub use vliw_sim::KernelSimulator;
     pub use vliw_sms::ModuloSchedule;
     pub use vliw_timing::{CycleTimeModel, PalacharlaModel};

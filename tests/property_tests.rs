@@ -141,11 +141,6 @@ proptest! {
             prop_assert_eq!(out.diagnostics.ii, out.schedule.ii());
             prop_assert!(out.diagnostics.ii >= out.diagnostics.mii);
             prop_assert_eq!(out.diagnostics.n_comms, out.schedule.comms().len());
-            prop_assert_eq!(
-                out.diagnostics.limited_by_bus(),
-                out.schedule.limited_by_bus,
-                "{label}"
-            );
             prop_assert_eq!(out.diagnostics.max_live_per_cluster.len(), target.n_clusters);
             prop_assert_eq!(
                 out.diagnostics.mii,
