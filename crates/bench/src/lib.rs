@@ -196,25 +196,15 @@ pub fn run_corpus(
 }
 
 /// [`run_corpus`], with every produced schedule differentially audited by
-/// [`vliw_sim::check_schedule`] — static certification, cycle-level replay and the
-/// closed-form cycle cross-checks.  Panics with a full description on the first
-/// failing loop — including a loop the scheduler cannot schedule at all, which a
-/// plain run only counts in `failed_loops` — so an execution-validated pipeline is
-/// a hard guarantee, not a best-effort log line.  The audit runs inside the parallel map and replays a
-/// bounded iteration count per loop, so a validated sweep costs only a modest
-/// constant factor over a plain one.
-pub fn run_corpus_verified(
-    corpus: &LoopCorpus,
-    machine: &MachineConfig,
-    algorithm: Algorithm,
-    policy: UnrollPolicy,
-) -> CorpusResult {
-    run_corpus_audited(corpus, machine, algorithm, policy, true)
-}
-
-/// [`run_corpus`], or [`run_corpus_verified`] when `verify` is set: the audit
-/// only observes, so the corpus result is identical either way.  [`sweep::Sweep`]
-/// routes its `VERIFY_CELLS` opt-in through here.
+/// [`vliw_sim::check_schedule`] when `verify` is set — static certification,
+/// cycle-level replay and the closed-form cycle cross-checks.  An audited run
+/// panics with a full description on the first failing loop — including a loop
+/// the scheduler cannot schedule at all, which a plain run only counts in
+/// `failed_loops` — so an execution-validated pipeline is a hard guarantee, not a
+/// best-effort log line.  The audit runs inside the parallel map, replays a
+/// bounded iteration count per loop and only observes, so the corpus result is
+/// identical either way.  [`sweep::Sweep`] routes its `VERIFY_CELLS` opt-in
+/// through here.
 pub fn run_corpus_audited(
     corpus: &LoopCorpus,
     machine: &MachineConfig,

@@ -4,7 +4,7 @@
 //! selection use.  They are computed for a *candidate initiation interval* `II`: every
 //! edge `u → v` contributes the constraint `t(v) ≥ t(u) + latency − II·distance`, and
 //! as long as `II ≥ RecMII` the constraint system has a (finite) least solution, found
-//! here with a longest-path fixpoint iteration.
+//! here with a longest-path fixed-point iteration.
 
 use crate::graph::{DepGraph, NodeId};
 use serde::{Deserialize, Serialize};

@@ -24,6 +24,11 @@
 //!
 //! Warn-level quality lints (dead values, II slack, cluster imbalance, register
 //! cliff) ride along in the same report; they never affect certification.
+//!
+//! Every check is one pass over the graph, the placements or the reservations,
+//! or a closed form ([`ModuloLiveness`]'s interval fold, the `makespan`
+//! re-derivations): nothing iterates to convergence.  A dead value is a producer
+//! with no placed value-reading successor, read straight off the graph.
 
 use crate::diagnostics::{Diagnostic, LintReport};
 use crate::lints::{self, LintDescriptor};

@@ -1,14 +1,11 @@
-//! # vliw-lint — static schedule certification and dataflow lints
+//! # vliw-lint — static schedule certification
 //!
-//! A gen/kill dataflow framework over the `II` rows of a modulo-scheduled kernel
-//! (in the style of rustc's MIR dataflow layer), plus the analyses and lints built
-//! on it:
+//! Proves a modulo schedule legal without executing it, from re-derivations
+//! written independently of the scheduler, and bounds its II against the
+//! optimum:
 //!
-//! * [`domain`] / [`engine`] — bit lattices and the backward fixpoint driver
-//!   across the II wraparound (loop-carried facts propagate around the kernel
-//!   ring);
-//! * [`liveness`] — modulo liveness: per-cluster live sets and an independent
-//!   recomputation of the `MaxLive` register-pressure numbers;
+//! * [`liveness`] — modulo liveness: per-value live intervals folded into an
+//!   independent recomputation of the per-cluster `MaxLive` register pressure;
 //! * [`makespan`] — closed-form makespan / `NCYCLES` re-derivation and the IPC
 //!   drift window;
 //! * [`lints`] / [`diagnostics`] — the lint registry (stable ids, fixed
@@ -31,8 +28,6 @@
 
 pub mod certify;
 pub mod diagnostics;
-pub mod domain;
-pub mod engine;
 pub mod lints;
 pub mod liveness;
 pub mod makespan;
@@ -41,8 +36,6 @@ pub mod reportio;
 
 pub use certify::{Certifier, CLIFF_MARGIN, IMBALANCE_GAP};
 pub use diagnostics::{Diagnostic, LintReport, Severity};
-pub use domain::BitSet;
-pub use engine::{fixpoint, KernelAnalysis};
 pub use liveness::{ModuloLiveness, ValueInterval};
 pub use makespan::{ncycles_drift_ok, static_makespan, static_ncycles, static_stage_count};
 pub use optimal::{OptCertificate, OptVerdict, OptimalSolver, DEFAULT_SOLVER_PROBES};

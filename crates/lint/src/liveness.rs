@@ -1,26 +1,15 @@
-//! Modulo liveness: per-cluster live values and register pressure, recomputed
-//! independently of `vliw_sms::PressureTracker` and its from-scratch fold.
+//! Modulo liveness: per-cluster register pressure, recomputed independently of
+//! `vliw_sms::PressureTracker` and its from-scratch fold.
 //!
-//! Two views of the same lifetimes are built here:
-//!
-//! 1. **Intervals + pressure.**  Each value's live ranges (producer-side and
-//!    receiver-side, following the lifetime model of `vliw_sms::pressure`) are
-//!    re-derived and folded into per-row pressure counts by *walking the covered
-//!    rows* — `row = (start + k) mod II` for each covered cycle `k` — instead of
-//!    the tracker's closed-form full-wraps-plus-split-remainder arithmetic.  The
-//!    two folds must agree bit for bit on `MaxLive`; the certifier's
-//!    register-pressure lint uses *this* fold, so it checks the scheduler's
-//!    (tracker-based) register constraint through different arithmetic.
-//!
-//! 2. **Dataflow live sets.**  A backward [`KernelAnalysis`] per cluster (gen at a
-//!    value's last-read row, kill at its definition row) solved to fixpoint across
-//!    the II wraparound.  Bit sets cannot count multiplicity — a value whose
-//!    lifetime exceeds `II` is live several times per row but sets one bit — which
-//!    is exactly why the pressure numbers come from the interval fold and the live
-//!    sets only answer membership queries (the dead-value lint, debugging).
+//! Each value's live ranges (producer-side and receiver-side, following the
+//! lifetime model of `vliw_sms::pressure`) are re-derived and folded into per-row
+//! pressure counts by *walking the covered rows* — `row = (start + k) mod II` for
+//! each covered cycle `k` — instead of the tracker's closed-form
+//! full-wraps-plus-split-remainder arithmetic.  The two folds must agree bit for
+//! bit on `MaxLive`; the certifier's register-pressure lint uses *this* fold, so it
+//! checks the scheduler's (tracker-based) register constraint through different
+//! arithmetic.
 
-use crate::domain::BitSet;
-use crate::engine::{fixpoint, KernelAnalysis};
 use std::collections::BTreeMap;
 use vliw_arch::MachineConfig;
 use vliw_ddg::{DepGraph, NodeId};
@@ -53,45 +42,12 @@ impl ValueInterval {
     }
 }
 
-/// Backward liveness over one cluster's kernel rows.
-struct ClusterLiveness {
-    rows: usize,
-    universe: usize,
-    /// `defs[row]` = bits whose value is defined (issued / arrives) at `row`.
-    defs: Vec<Vec<usize>>,
-    /// `uses[row]` = bits whose value is last read from this register file at `row`.
-    uses: Vec<Vec<usize>>,
-}
-
-impl KernelAnalysis for ClusterLiveness {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-    fn universe(&self) -> usize {
-        self.universe
-    }
-    fn transfer(&self, row: usize, state: &mut BitSet) {
-        // live-in = (live-out − defs) ∪ uses
-        for &d in &self.defs[row] {
-            state.remove(d);
-        }
-        for &u in &self.uses[row] {
-            state.insert(u);
-        }
-    }
-}
-
-/// Liveness and register pressure of one modulo schedule.
+/// Live intervals and register pressure of one modulo schedule.
 #[derive(Debug, Clone)]
 pub struct ModuloLiveness {
-    ii: u32,
     intervals: Vec<ValueInterval>,
     /// `pressure[cluster][row]` = simultaneously live values.
     pressure: Vec<Vec<u32>>,
-    /// `live_in[cluster][row]` = dataflow live-in sets over the dense value bits.
-    live_in: Vec<Vec<BitSet>>,
-    /// Dense bit index of each value-defining node.
-    value_bits: BTreeMap<u32, usize>,
 }
 
 impl ModuloLiveness {
@@ -119,65 +75,15 @@ impl ModuloLiveness {
             }
         }
 
-        // Dense bit universe: every value-defining node that got an interval.
-        let mut value_bits = BTreeMap::new();
-        for iv in &intervals {
-            let next = value_bits.len();
-            value_bits.entry(iv.node.0).or_insert(next);
-        }
-        let universe = value_bits.len();
-
-        let mut live_in = Vec::with_capacity(machine.n_clusters);
-        for cluster in 0..machine.n_clusters {
-            let mut analysis = ClusterLiveness {
-                rows: ii as usize,
-                universe,
-                defs: vec![Vec::new(); ii as usize],
-                uses: vec![Vec::new(); ii as usize],
-            };
-            for iv in intervals.iter().filter(|iv| iv.cluster == cluster) {
-                let bit = value_bits[&iv.node.0];
-                let def_row = iv.start.rem_euclid(ii as i64) as usize;
-                let use_row = (iv.start + iv.len() - 1).rem_euclid(ii as i64) as usize;
-                analysis.defs[def_row].push(bit);
-                analysis.uses[use_row].push(bit);
-            }
-            // fixpoint() returns live-out per row; one extra transfer application
-            // turns each into the live-in set.
-            let live_out = fixpoint(&analysis);
-            let ins = live_out
-                .into_iter()
-                .enumerate()
-                .map(|(row, mut s)| {
-                    analysis.transfer(row, &mut s);
-                    s
-                })
-                .collect();
-            live_in.push(ins);
-        }
-
         Self {
-            ii,
             intervals,
             pressure,
-            live_in,
-            value_bits,
         }
-    }
-
-    /// The schedule's initiation interval.
-    pub fn ii(&self) -> u32 {
-        self.ii
     }
 
     /// All re-derived live ranges.
     pub fn intervals(&self) -> &[ValueInterval] {
         &self.intervals
-    }
-
-    /// Per-row live-value counts of one cluster.
-    pub fn pressure_of(&self, cluster: usize) -> &[u32] {
-        &self.pressure[cluster]
     }
 
     /// Maximum simultaneously live values per cluster — must equal
@@ -187,23 +93,6 @@ impl ModuloLiveness {
             .iter()
             .map(|rows| rows.iter().copied().max().unwrap_or(0))
             .collect()
-    }
-
-    /// The dataflow live-in set of `cluster` at kernel row `row`.
-    pub fn live_in(&self, cluster: usize, row: usize) -> &BitSet {
-        &self.live_in[cluster][row]
-    }
-
-    /// Whether `node`'s value is live entering `row` of `cluster`.
-    pub fn is_live(&self, cluster: usize, row: usize, node: NodeId) -> bool {
-        self.value_bits
-            .get(&node.0)
-            .is_some_and(|&bit| self.live_in[cluster][row].contains(bit))
-    }
-
-    /// The dense bit assigned to `node`'s value, if it defines one.
-    pub fn bit_of(&self, node: NodeId) -> Option<usize> {
-        self.value_bits.get(&node.0).copied()
     }
 }
 
@@ -341,22 +230,97 @@ mod tests {
     }
 
     #[test]
-    fn live_sets_cover_the_interval_rows() {
-        // Value defined at cycle 1, last read at cycle 3, II = 6: the interval is
-        // [1, 3) (the register frees at the read).  The value is not live *entering*
-        // its definition row, so the live-in sets flag row 2 only.
-        let machine = MachineConfig::unified();
-        let pool = ResourcePool::new(&machine);
-        let mut g = DepGraph::new("rows");
-        let a = g.add_node(OpClass::Load);
-        let b = g.add_node(OpClass::FpAdd);
-        g.add_edge(a, b, 2, 0, DepKind::Flow);
-        let mut s = ModuloSchedule::new("rows", 2, 6, 1);
-        place(&mut s, &pool, 0, 1, 0, FuKind::Mem);
-        place(&mut s, &pool, 1, 3, 0, FuKind::Fp);
-        let live = ModuloLiveness::new(&g, &s, &machine);
-        let live_rows: Vec<usize> = (0..6).filter(|&r| live.is_live(0, r, a)).collect();
-        assert_eq!(live_rows, vec![2]);
+    fn interval_rules_match_the_tracker() {
+        // Each row is a load `a` (node 0) feeding an add `b` (node 1): the machine,
+        // II, `a` and `b` as (cycle, cluster), the edge distance, the bus transfer
+        // as (start, duration), then the expected intervals as
+        // (node, cluster, start, end) and MaxLive per cluster.
+        type Row = (
+            &'static str,
+            MachineConfig,
+            u32,
+            (i64, usize),
+            (i64, usize),
+            u32,
+            Option<(i64, u32)>,
+            Vec<(u32, usize, i64, i64)>,
+            Vec<u32>,
+        );
+        let table: Vec<Row> = vec![
+            // Defined at cycle 1, read at cycle 3: the register frees at the read,
+            // so the interval is the half-open [1, 3).
+            (
+                "half-open",
+                MachineConfig::unified(),
+                6,
+                (1, 0),
+                (3, 0),
+                0,
+                None,
+                vec![(0, 0, 1, 3), (1, 0, 3, 4)],
+                vec![1],
+            ),
+            // Distance 1: the read is at 3 + II = 7, so `a` holds its register for
+            // 7 cycles at II 4 and overlaps itself in rows 0..3.
+            (
+                "loop-carried",
+                MachineConfig::unified(),
+                4,
+                (0, 0),
+                (3, 0),
+                1,
+                None,
+                vec![(0, 0, 0, 7), (1, 0, 3, 4)],
+                vec![2],
+            ),
+            // `b` issues on the transfer's arrival (2 + 2): it reads the incoming
+            // value directly, so cluster 1 holds no copy of `a`.
+            (
+                "read-on-arrival",
+                MachineConfig::two_cluster(1, 2),
+                6,
+                (0, 0),
+                (4, 1),
+                0,
+                Some((2, 2)),
+                vec![(0, 0, 0, 2), (1, 1, 4, 5)],
+                vec![1, 1],
+            ),
+        ];
+        for (name, machine, ii, at_a, at_b, distance, transfer, expected, max_live) in table {
+            let pool = ResourcePool::new(&machine);
+            let mut g = DepGraph::new(name);
+            let a = g.add_node(OpClass::Load);
+            let b = g.add_node(OpClass::FpAdd);
+            g.add_edge(a, b, 2, distance, DepKind::Flow);
+            let mut s = ModuloSchedule::new(name, 2, ii, 1);
+            place(&mut s, &pool, 0, at_a.0, at_a.1, FuKind::Mem);
+            place(&mut s, &pool, 1, at_b.0, at_b.1, FuKind::Fp);
+            if let Some((start_cycle, duration)) = transfer {
+                s.add_comm(CommPlacement {
+                    src_node: a,
+                    dst_node: b,
+                    from_cluster: at_a.1,
+                    to_cluster: at_b.1,
+                    bus: pool.buses().next().unwrap(),
+                    start_cycle,
+                    duration,
+                });
+            }
+            let live = ModuloLiveness::new(&g, &s, &machine);
+            let intervals: Vec<_> = live
+                .intervals()
+                .iter()
+                .map(|iv| (iv.node.0, iv.cluster, iv.start, iv.end))
+                .collect();
+            assert_eq!(intervals, expected, "{name}: intervals");
+            assert_eq!(live.max_live(), max_live, "{name}: MaxLive");
+            assert_eq!(
+                live.max_live(),
+                cluster_max_live(&g, &s, &machine),
+                "{name}: the tracker's fold disagrees"
+            );
+        }
     }
 
     #[test]

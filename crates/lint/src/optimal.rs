@@ -495,8 +495,7 @@ impl<'a> Dfs<'a> {
                     continue;
                 };
                 let fu_reservation = self.mrt.reserve(fu, cycle);
-                let requests =
-                    required_comms(self.graph, &self.sched, self.machine, node, cluster, cycle);
+                let requests = required_comms(self.graph, &self.sched, node, cluster, cycle);
                 let mut chosen = Vec::new();
                 match self.assign_comms(
                     depth,

@@ -49,7 +49,6 @@ pub struct CommRequest {
 pub fn required_comms(
     graph: &DepGraph,
     sched: &ModuloSchedule,
-    machine: &MachineConfig,
     node: NodeId,
     cluster: usize,
     cycle: i64,
@@ -113,7 +112,6 @@ pub fn required_comms(
             deadline,
         });
     }
-    let _ = machine;
     requests
 }
 
@@ -400,7 +398,7 @@ mod tests {
 
     #[test]
     fn no_comms_needed_within_one_cluster() {
-        let (machine, pool) = two_cluster();
+        let (_, pool) = two_cluster();
         let g = graph_pair();
         let mut sched = ModuloSchedule::new("pair", 2, 4, 1);
         sched.place(PlacedOp {
@@ -409,13 +407,13 @@ mod tests {
             cluster: 0,
             fu: pool.fus(0, FuKind::Mem).next().unwrap(),
         });
-        let reqs = required_comms(&g, &sched, &machine, NodeId(1), 0, 3);
+        let reqs = required_comms(&g, &sched, NodeId(1), 0, 3);
         assert!(reqs.is_empty());
     }
 
     #[test]
     fn incoming_value_from_other_cluster_requires_a_transfer() {
-        let (machine, pool) = two_cluster();
+        let (_, pool) = two_cluster();
         let g = graph_pair();
         let mut sched = ModuloSchedule::new("pair", 2, 4, 1);
         sched.place(PlacedOp {
@@ -424,7 +422,7 @@ mod tests {
             cluster: 0,
             fu: pool.fus(0, FuKind::Mem).next().unwrap(),
         });
-        let reqs = required_comms(&g, &sched, &machine, NodeId(1), 1, 5);
+        let reqs = required_comms(&g, &sched, NodeId(1), 1, 5);
         assert_eq!(reqs.len(), 1);
         let r = &reqs[0];
         assert_eq!(r.src_node, NodeId(0));
@@ -435,7 +433,7 @@ mod tests {
 
     #[test]
     fn outgoing_value_to_scheduled_successor() {
-        let (machine, pool) = two_cluster();
+        let (_, pool) = two_cluster();
         let g = graph_pair();
         let mut sched = ModuloSchedule::new("pair", 2, 4, 1);
         // The consumer is already placed on cluster 1; we now try the producer on 0.
@@ -445,7 +443,7 @@ mod tests {
             cluster: 1,
             fu: pool.fus(1, FuKind::Fp).next().unwrap(),
         });
-        let reqs = required_comms(&g, &sched, &machine, NodeId(0), 0, 1);
+        let reqs = required_comms(&g, &sched, NodeId(0), 0, 1);
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].ready, 3); // issue 1 + latency 2
         assert_eq!(reqs[0].deadline, 6);
@@ -546,7 +544,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_are_merged() {
-        let (machine, pool) = two_cluster();
+        let (_, pool) = two_cluster();
         let mut g = DepGraph::new("fanin");
         let a = g.add_node(OpClass::Load);
         let b = g.add_node(OpClass::FpAdd);
@@ -560,7 +558,7 @@ mod tests {
             cluster: 0,
             fu: pool.fus(0, FuKind::Mem).next().unwrap(),
         });
-        let reqs = required_comms(&g, &sched, &machine, b, 1, 5);
+        let reqs = required_comms(&g, &sched, b, 1, 5);
         assert_eq!(reqs.len(), 1);
     }
 }

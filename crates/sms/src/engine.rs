@@ -224,19 +224,18 @@ impl<'a> EngineView<'a> {
             {
                 // The affine materialization must equal the from-scratch derivation
                 // minus the requests a committed transfer covers.
-                let reference: Vec<_> = crate::comm::required_comms(
-                    self.graph, self.sched, machine, node, cluster, cycle,
-                )
-                .into_iter()
-                .filter(|r| {
-                    !self.sched.comms().iter().any(|c| {
-                        c.src_node == r.src_node
-                            && c.to_cluster == r.to_cluster
-                            && c.start_cycle >= r.ready
-                            && c.start_cycle + c.duration as i64 <= r.deadline
-                    })
-                })
-                .collect();
+                let reference: Vec<_> =
+                    crate::comm::required_comms(self.graph, self.sched, node, cluster, cycle)
+                        .into_iter()
+                        .filter(|r| {
+                            !self.sched.comms().iter().any(|c| {
+                                c.src_node == r.src_node
+                                    && c.to_cluster == r.to_cluster
+                                    && c.start_cycle >= r.ready
+                                    && c.start_cycle + c.duration as i64 <= r.deadline
+                            })
+                        })
+                        .collect();
                 debug_assert_eq!(
                     requests,
                     &reference[..],

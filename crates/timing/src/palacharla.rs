@@ -101,11 +101,6 @@ impl CycleTimeModel {
         }
     }
 
-    /// A cycle-time model with custom constants.
-    pub fn with_model(model: PalacharlaModel) -> Self {
-        Self { model }
-    }
-
     /// The underlying delay model.
     pub fn model(&self) -> &PalacharlaModel {
         &self.model

@@ -76,16 +76,6 @@ pub struct CaseOutcome {
     pub unrolled: Option<UnrollAudit>,
 }
 
-impl CaseOutcome {
-    /// The policies whose outcome demonstrates a violation.
-    pub fn violating_policies(&self) -> impl Iterator<Item = Policy> + '_ {
-        self.outcomes
-            .iter()
-            .filter(|(_, o)| o.is_violation())
-            .map(|&(p, _)| p)
-    }
-}
-
 /// Run `policy` on one `(machine, graph)` pair and audit the result.
 ///
 /// The scheduler call runs behind [`vliw_sms::contain_schedule`]: a panic in any

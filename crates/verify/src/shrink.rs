@@ -11,9 +11,9 @@
 //! * simplify the machine: fewer clusters, one bus, unit bus latency, single
 //!   functional units, a roomy register file.
 //!
-//! The passes repeat to a fixpoint under a predicate-evaluation budget, so shrinking
-//! always terminates even on expensive predicates.  Everything is deterministic:
-//! reductions are attempted in a fixed order.
+//! The passes repeat until none shrinks the case, under a predicate-evaluation
+//! budget, so shrinking always terminates even on expensive predicates.
+//! Everything is deterministic: reductions are attempted in a fixed order.
 
 use vliw_arch::{BusConfig, ClusterConfig, MachineConfig};
 use vliw_ddg::DepGraph;
