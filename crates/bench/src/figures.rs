@@ -60,15 +60,6 @@ pub struct Fig4Output {
     pub motivation: Vec<Fig4Motivation>,
 }
 
-/// A [`Sweep`] with its opt-in audit wired to `VERIFY_CELLS` (static
-/// certification plus execution validation) — the starting point of every figure
-/// pipeline.
-fn audited_sweep() -> Sweep {
-    let mut sweep = Sweep::new();
-    sweep.verify_cells(crate::verify_from_env());
-    sweep
-}
-
 /// Figure 4 grid cell: `(clusters, buses, latency, algorithm, cell)`.
 type Fig4Cell = (usize, usize, u32, Algorithm, CellId);
 /// Figure 4 motivation pair: `(clusters, buses, no-unroll cell, unrolled cell)`.
@@ -128,7 +119,7 @@ pub(crate) fn declare_fig4(sweep: &mut Sweep) -> (Vec<Fig4Cell>, Vec<Fig4Motivat
 /// latencies of 1 and 2 cycles, on the 2-cluster and 4-cluster configurations.
 /// No unrolling is applied (this figure motivates the unrolling technique).
 pub fn fig4(corpora: &[LoopCorpus]) -> Fig4Output {
-    let mut sweep = audited_sweep();
+    let mut sweep = Sweep::new();
     let (point_cells, motivation_cells) = declare_fig4(&mut sweep);
     let results = sweep.run(corpora);
     let points = point_cells
@@ -210,7 +201,7 @@ pub(crate) fn declare_fig8(sweep: &mut Sweep) -> Vec<(usize, UnrollPolicy, usize
 pub fn fig8(corpora: &[LoopCorpus]) -> Vec<Fig8Bar> {
     let bus_latencies = [1u32, 2, 4];
     let bus_counts = [1usize, 2];
-    let mut sweep = audited_sweep();
+    let mut sweep = Sweep::new();
     let cells = declare_fig8(&mut sweep);
     let results = sweep.run(corpora);
 
@@ -296,7 +287,7 @@ pub fn fig9(corpora: &[LoopCorpus]) -> Vec<Fig9Bar> {
     let model = CycleTimeModel::new();
     let unified = MachineConfig::unified();
 
-    let mut sweep = audited_sweep();
+    let mut sweep = Sweep::new();
     let cells = declare_fig9(&mut sweep);
     let results = sweep.run(corpora);
 
@@ -366,7 +357,7 @@ pub(crate) fn declare_fig10(sweep: &mut Sweep) -> (CellId, Vec<Fig10Cell>) {
 /// NOP) and useful operations only, normalised to the unified configuration without
 /// unrolling, for the same scenarios as Figure 8.
 pub fn fig10(corpora: &[LoopCorpus]) -> Vec<Fig10Bar> {
-    let mut sweep = audited_sweep();
+    let mut sweep = Sweep::new();
     let (base_id, cells) = declare_fig10(&mut sweep);
     let results = sweep.run(corpora);
 
@@ -625,7 +616,7 @@ pub(crate) fn declare_fig_unroll(
 /// `U = n_clusters`; this sweep exposes the structure across the whole factor axis
 /// (register pressure taking over as the binding constraint as `U` grows).
 pub fn fig_unroll(corpora: &[LoopCorpus]) -> Vec<FigUnrollPoint> {
-    let mut sweep = audited_sweep();
+    let mut sweep = Sweep::new();
     let cells = declare_fig_unroll(&mut sweep);
     let results = sweep.run(corpora);
 

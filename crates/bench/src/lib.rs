@@ -192,26 +192,6 @@ pub fn run_corpus(
     algorithm: Algorithm,
     policy: UnrollPolicy,
 ) -> CorpusResult {
-    run_corpus_audited(corpus, machine, algorithm, policy, false)
-}
-
-/// [`run_corpus`], with every produced schedule differentially audited by
-/// [`vliw_sim::check_schedule`] when `verify` is set — static certification,
-/// cycle-level replay and the closed-form cycle cross-checks.  An audited run
-/// panics with a full description on the first failing loop — including a loop
-/// the scheduler cannot schedule at all, which a plain run only counts in
-/// `failed_loops` — so an execution-validated pipeline is a hard guarantee, not a
-/// best-effort log line.  The audit runs inside the parallel map, replays a
-/// bounded iteration count per loop and only observes, so the corpus result is
-/// identical either way.  [`sweep::Sweep`] routes its `VERIFY_CELLS` opt-in
-/// through here.
-pub fn run_corpus_audited(
-    corpus: &LoopCorpus,
-    machine: &MachineConfig,
-    algorithm: Algorithm,
-    policy: UnrollPolicy,
-    verify: bool,
-) -> CorpusResult {
     let code_model = CodeSizeModel::new(machine);
     type PerLoop = (LoopContribution, CodeSizeReport, bool, ScheduleDiagnostics);
     let per_loop: Vec<Option<PerLoop>> = corpus
@@ -220,63 +200,12 @@ pub fn run_corpus_audited(
         .map(|graph| {
             // The per-loop job boundary: a panic anywhere in the scheduling stack is
             // contained into `ScheduleError::PolicyPanic` instead of unwinding
-            // through the rayon pool and killing the entire sweep.  A plain run then
-            // counts the loop in `failed_loops` (visible in the result JSON); an
-            // audited run still hard-fails below with the typed message.
-            let scheduled =
-                vliw_sms::contain_schedule(|| schedule_loop(graph, machine, algorithm, policy));
-            let cs: ClusterSchedule = match scheduled {
-                Ok(cs) => cs,
-                // A plain run counts the loop in `failed_loops` and moves on; an
-                // execution-validated run must not silently lose coverage — an
-                // unschedulable loop on a figure machine is itself an anomaly.
-                Err(e) if verify => panic!(
-                    "verify_cells: loop {} failed to schedule on {} ({:?}, policy {}): {e}",
-                    graph.name,
-                    machine,
-                    algorithm,
-                    policy.label()
-                ),
-                Err(_) => return None,
-            };
-            if verify {
-                // The schedule to audit is the one actually produced — of the
-                // unrolled body when an unrolling policy kicked in.
-                let report = vliw_sim::check_schedule(
-                    machine,
-                    &cs.scheduled_graph,
-                    &cs.schedule,
-                    vliw_sim::verification_iterations(&cs.scheduled_graph),
-                );
-                assert!(
-                    report.is_clean(),
-                    "verify_cells: loop {} on {} ({:?}, policy {}): {:?}",
-                    cs.scheduled_graph.name,
-                    machine,
-                    algorithm,
-                    policy.label(),
-                    report.findings
-                );
-                // An exact-model unroll also emits a remainder loop (the original
-                // body's schedule); audit that code too.
-                if let Some(rem) = &cs.remainder {
-                    let report = vliw_sim::check_schedule(
-                        machine,
-                        graph,
-                        &rem.schedule,
-                        vliw_sim::verification_iterations(graph),
-                    );
-                    assert!(
-                        report.is_clean(),
-                        "verify_cells: remainder epilogue of loop {} on {} ({:?}, policy {}): {:?}",
-                        graph.name,
-                        machine,
-                        algorithm,
-                        policy.label(),
-                        report.findings
-                    );
-                }
-            }
+            // through the rayon pool and killing the entire sweep; the loop is then
+            // counted in `failed_loops` (visible in the result JSON).  The `lint`
+            // bin is where every schedule behind the figures is audited.
+            let cs =
+                vliw_sms::contain_schedule(|| schedule_loop(graph, machine, algorithm, policy))
+                    .ok()?;
             let contribution = LoopContribution::new(
                 &cs.schedule,
                 cs.scheduled_graph.iterations,
@@ -344,15 +273,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::p
 /// other value means on.
 fn flag_on(value: Option<&str>) -> bool {
     value.is_some_and(|v| v != "0")
-}
-
-/// Whether figure pipelines should run execution-validated, from the
-/// `VERIFY_CELLS` environment variable (set it to anything but `0`).  Every figure
-/// pipeline feeds this into [`sweep::Sweep::verify_cells`], so
-/// `VERIFY_CELLS=1 cargo run --release -p vliw-bench --bin fig9` reproduces the
-/// figure with every schedule of every cell audited by the differential oracle.
-pub fn verify_from_env() -> bool {
-    flag_on(std::env::var("VERIFY_CELLS").ok().as_deref())
 }
 
 /// Whether the experiment binaries run on shrunk corpora, from the

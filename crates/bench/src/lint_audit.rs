@@ -3,9 +3,13 @@
 //! The committed `results/*.json` artifacts are each backed by a sweep of
 //! scheduling jobs ([`crate::figures`] declares them).  This module enumerates
 //! every deduplicated job behind all five figure pipelines ([`figure_jobs`]) and
-//! statically certifies every schedule those jobs produce — kernel and exact-unroll
-//! remainder alike — with `vliw_lint`'s [`Certifier`], folding the outcome into one
-//! deterministic [`LintAuditReport`] written to `results/lint_report.json`.
+//! audits every schedule those jobs produce — kernel and exact-unroll remainder
+//! alike — with [`vliw_sim::check_schedule_with`]: `vliw_lint`'s [`Certifier`],
+//! the cycle-level replay and the closed-form cycle cross-checks.  The outcome
+//! folds into one deterministic [`LintAuditReport`] written to
+//! `results/lint_report.json`; a clean replay adds nothing to it.  This is the
+//! one audit path behind the figures: every figure job is scheduled, certified
+//! and replayed here, and an unschedulable loop fails the audit like a finding.
 //!
 //! Everything is ordered (jobs in first-declaration order, corpora and loops in
 //! input order, histograms in `BTreeMap`s), so the report is byte-identical across
@@ -13,13 +17,15 @@
 //! figure artifacts themselves.
 
 use crate::sweep::{Sweep, SweepJob};
-use crate::{figures, schedule_loop};
+use crate::{figures, schedule_loop, Algorithm};
+use cvliw_core::UnrollPolicy;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use vliw_arch::MachineConfig;
 use vliw_ddg::DepGraph;
 use vliw_lint::{Certifier, LintReport};
-use vliw_sim::verification_iterations;
+use vliw_sim::{check_schedule_with, verification_iterations, DifferentialReport, Finding};
 use vliw_sms::ModuloSchedule;
 use vliw_workloads::LoopCorpus;
 
@@ -57,6 +63,52 @@ pub struct JobAudit {
     pub warnings: BTreeMap<String, u64>,
     /// Full lint reports of every uncertified schedule (empty = job clean).
     pub deny_reports: Vec<LintReport>,
+    /// Differential reports of every schedule whose cycle-level replay or
+    /// closed-form cycle cross-checks disagreed.  Static findings are stripped
+    /// (they are in `deny_reports`); omitted from the JSON when empty.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub replay_failures: Vec<DifferentialReport>,
+}
+
+impl JobAudit {
+    /// An empty audit of one job.
+    fn new(machine: &MachineConfig, algorithm: Algorithm, policy: UnrollPolicy) -> Self {
+        Self {
+            machine: machine.name.clone(),
+            algorithm: algorithm.label().to_string(),
+            policy: policy.label(),
+            schedules: 0,
+            certified: 0,
+            unschedulable: 0,
+            warnings: BTreeMap::new(),
+            deny_reports: Vec::new(),
+            replay_failures: Vec::new(),
+        }
+    }
+
+    /// Certify and replay one schedule with `vliw_sim`'s differential oracle and
+    /// fold the outcome in: the certifier's report feeds the counts, the warn
+    /// histogram and `deny_reports`; any replay or cycle finding lands in
+    /// `replay_failures`.
+    fn check(&mut self, certifier: &Certifier, graph: &DepGraph, sched: &ModuloSchedule) {
+        let (mut replay, lint) =
+            check_schedule_with(certifier, graph, sched, verification_iterations(graph));
+        self.schedules += 1;
+        for id in lint.warn_ids() {
+            *self.warnings.entry(id).or_insert(0) += 1;
+        }
+        if lint.is_certified() {
+            self.certified += 1;
+        } else {
+            self.deny_reports.push(lint);
+        }
+        replay
+            .findings
+            .retain(|f| !matches!(f, Finding::StaticViolation { .. }));
+        if !replay.is_clean() {
+            self.replay_failures.push(replay);
+        }
+    }
 }
 
 /// The full, deterministic output of the figure-artifact lint audit — written to
@@ -71,57 +123,69 @@ pub struct LintAuditReport {
     pub schedules_audited: u64,
     /// Total schedules with zero deny-level diagnostics.
     pub certified: u64,
-    /// Total uncertified schedules (the `lint` binary exits non-zero iff > 0).
+    /// Total uncertified schedules.
     pub deny_schedules: u64,
     /// Aggregate warn-lint histogram over all jobs.
     pub warnings: BTreeMap<String, u64>,
 }
 
 impl LintAuditReport {
-    /// Whether every audited schedule was certified.
+    /// Fold per-job audits (in job order) into the report and its totals.
+    fn new(corpora: Vec<String>, jobs: Vec<JobAudit>) -> Self {
+        let mut report = LintAuditReport {
+            corpora,
+            jobs,
+            schedules_audited: 0,
+            certified: 0,
+            deny_schedules: 0,
+            warnings: BTreeMap::new(),
+        };
+        for job in &report.jobs {
+            report.schedules_audited += job.schedules;
+            report.certified += job.certified;
+            report.deny_schedules += job.schedules - job.certified;
+            for (id, n) in &job.warnings {
+                *report.warnings.entry(id.clone()).or_insert(0) += n;
+            }
+        }
+        report
+    }
+
+    /// Uncertified schedules, schedules with a replay or cycle finding, and
+    /// unschedulable loops, summed (the `lint` binary exits non-zero iff > 0).
+    pub fn violations(&self) -> u64 {
+        self.deny_schedules
+            + self
+                .jobs
+                .iter()
+                .map(|j| j.replay_failures.len() as u64 + j.unschedulable)
+                .sum::<u64>()
+    }
+
+    /// Whether every loop scheduled and every schedule was certified and
+    /// replayed clean.
     pub fn passed(&self) -> bool {
-        self.deny_schedules == 0
+        self.violations() == 0
     }
 }
 
 /// Audit `jobs` over `corpora`: schedule every loop of every corpus under each job
-/// and certify every produced schedule (kernel and remainder).  Jobs run
+/// and certify and replay every produced schedule (kernel and remainder).  Jobs run
 /// rayon-parallel; the fold is in job order, so the report is deterministic.
 pub fn audit_jobs(jobs: &[SweepJob], corpora: &[LoopCorpus]) -> LintAuditReport {
     let job_audits: Vec<JobAudit> = jobs
         .par_iter()
         .map(|(machine, algorithm, policy)| {
             let certifier = Certifier::new(machine);
-            let mut audit = JobAudit {
-                machine: machine.name.clone(),
-                algorithm: algorithm.label().to_string(),
-                policy: policy.label(),
-                schedules: 0,
-                certified: 0,
-                unschedulable: 0,
-                warnings: BTreeMap::new(),
-                deny_reports: Vec::new(),
-            };
-            let certify = |audit: &mut JobAudit, graph: &DepGraph, sched: &ModuloSchedule| {
-                let report = certifier.check(graph, sched, verification_iterations(graph));
-                audit.schedules += 1;
-                for id in report.warn_ids() {
-                    *audit.warnings.entry(id).or_insert(0) += 1;
-                }
-                if report.is_certified() {
-                    audit.certified += 1;
-                } else {
-                    audit.deny_reports.push(report);
-                }
-            };
+            let mut audit = JobAudit::new(machine, *algorithm, *policy);
             for corpus in corpora {
                 for graph in &corpus.loops {
                     match schedule_loop(graph, machine, *algorithm, *policy) {
                         Err(_) => audit.unschedulable += 1,
                         Ok(cs) => {
-                            certify(&mut audit, &cs.scheduled_graph, &cs.schedule);
+                            audit.check(&certifier, &cs.scheduled_graph, &cs.schedule);
                             if let Some(rem) = &cs.remainder {
-                                certify(&mut audit, graph, &rem.schedule);
+                                audit.check(&certifier, graph, &rem.schedule);
                             }
                         }
                     }
@@ -130,27 +194,11 @@ pub fn audit_jobs(jobs: &[SweepJob], corpora: &[LoopCorpus]) -> LintAuditReport 
             audit
         })
         .collect();
-
-    let mut report = LintAuditReport {
-        corpora: corpora
-            .iter()
-            .map(|c| c.benchmark.name().to_string())
-            .collect(),
-        jobs: job_audits,
-        schedules_audited: 0,
-        certified: 0,
-        deny_schedules: 0,
-        warnings: BTreeMap::new(),
-    };
-    for job in &report.jobs {
-        report.schedules_audited += job.schedules;
-        report.certified += job.certified;
-        report.deny_schedules += job.schedules - job.certified;
-        for (id, n) in &job.warnings {
-            *report.warnings.entry(id.clone()).or_insert(0) += n;
-        }
-    }
-    report
+    let corpora = corpora
+        .iter()
+        .map(|c| c.benchmark.name().to_string())
+        .collect();
+    LintAuditReport::new(corpora, job_audits)
 }
 
 /// Audit every schedule behind the committed figure artifacts ([`figure_jobs`])
@@ -162,6 +210,9 @@ pub fn audit_figures(corpora: &[LoopCorpus]) -> LintAuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vliw_arch::{FuKind, OpClass, ResourcePool};
+    use vliw_ddg::DepKind;
+    use vliw_sms::PlacedOp;
     use vliw_workloads::SpecFp95;
 
     fn small_corpus() -> Vec<LoopCorpus> {
@@ -212,9 +263,65 @@ mod tests {
     }
 
     #[test]
+    fn a_missing_communication_fails_certification_and_replay() {
+        // A producer on cluster 0 feeds a consumer on cluster 1 with no bus
+        // transfer scheduled between them.
+        let machine = MachineConfig::two_cluster(1, 1);
+        let mut g = DepGraph::new("comm");
+        let a = g.add_node(OpClass::Load);
+        let b = g.add_node(OpClass::FpAdd);
+        g.add_edge(a, b, 2, 0, DepKind::Flow);
+        let mut sched = ModuloSchedule::new("comm", 2, 3, 1);
+        let pool = ResourcePool::new(&machine);
+        for (node, cycle, cluster, kind) in [(a, 0, 0, FuKind::Mem), (b, 10, 1, FuKind::Fp)] {
+            sched.place(PlacedOp {
+                node,
+                cycle,
+                cluster,
+                fu: pool.fus(cluster, kind).next().unwrap(),
+            });
+        }
+        let mut audit = JobAudit::new(&machine, Algorithm::Bsa, UnrollPolicy::None);
+        audit.check(&Certifier::new(&machine), &g, &sched);
+        assert_eq!((audit.schedules, audit.certified), (1, 0));
+        assert_eq!(audit.deny_reports.len(), 1);
+        assert!(audit.deny_reports[0]
+            .deny_ids()
+            .contains(&"missing-communication".to_string()));
+        let [replay] = &audit.replay_failures[..] else {
+            panic!("expected one replay failure: {:?}", audit.replay_failures);
+        };
+        assert!(
+            replay
+                .findings
+                .iter()
+                .any(|f| matches!(f, Finding::ExecutionError { .. })),
+            "{:?}",
+            replay.findings
+        );
+        let report = LintAuditReport::new(Vec::new(), vec![audit]);
+        assert!(!report.passed());
+        assert_eq!(report.violations(), 2);
+    }
+
+    #[test]
+    fn an_unschedulable_loop_fails_the_audit() {
+        let machine = MachineConfig::two_cluster(1, 1);
+        let mut audit = JobAudit::new(&machine, Algorithm::Bsa, UnrollPolicy::None);
+        let clean = LintAuditReport::new(Vec::new(), vec![audit.clone()]);
+        assert!(clean.passed());
+        audit.unschedulable = 1;
+        let report = LintAuditReport::new(Vec::new(), vec![audit]);
+        assert_eq!(report.deny_schedules, 0);
+        assert!(!report.passed());
+    }
+
+    #[test]
     fn audit_reports_roundtrip_through_json() {
         let report = audit_jobs(&figure_jobs()[..1], &small_corpus());
         let json = serde_json::to_string_pretty(&report).unwrap();
+        // A clean replay leaves the committed report's bytes alone.
+        assert!(!json.contains("replay_failures"), "{json}");
         let back: LintAuditReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
     }

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use vliw_arch::{MachineConfig, MachineSpace};
 use vliw_lint::{OptVerdict, OptimalSolver};
 use vliw_sms::FuelBudget;
-use vliw_verify::{audit_scheduled, generate_case, Policy, PolicyOutcome};
+use vliw_verify::{check_case_with, generate_case, FuzzCase, Policy, PolicyOutcome};
 
 /// The pinned campaign seed the corpus derives from.
 pub const OPTGAP_SEED: u64 = 20_260_809;
@@ -130,7 +130,7 @@ pub struct OptGapReport {
 /// whose bodies fit [`OPTGAP_MAX_NODES`], scheduled on the *fixed* Table-1
 /// machines rather than each case's sampled one.  Deterministic: the scan order
 /// over fuzz indices is fixed, so the kept case set is pinned by the seed.
-pub fn reduced_corpus() -> Vec<vliw_verify::FuzzCase> {
+pub fn reduced_corpus() -> Vec<FuzzCase> {
     let space = MachineSpace::table1();
     let mut cases = Vec::new();
     let mut index = 0u64;
@@ -152,83 +152,37 @@ fn verdict_label(v: &OptVerdict) -> &'static str {
     }
 }
 
-/// The audit of one `(case, machine)` pair: every policy on the original loop,
-/// plus the case's sampled exactly-unrolled kernel under BSA.  `None` entries
-/// are budget-exhausted II searches (counted as `unschedulable`).
-///
-/// Two passes, like `vliw_verify::check_case`: schedule every policy first,
-/// then certify each distinct target machine with the *best* achieved II as the
-/// solver's incumbent (the schedules the oracles validate are themselves
-/// feasibility witnesses), and finally audit every schedule against its
-/// machine's certificate.
-fn audit_pair(
-    case_index: u64,
-    graph: &vliw_ddg::DepGraph,
-    unroll_factor: u32,
+/// The audit of one `(case, machine)` pair: [`check_case_with`] on the case's
+/// loop retargeted to `machine` — every policy on the original loop, plus the
+/// case's sampled exactly-unrolled kernel under BSA — mapped to rows in that
+/// order.  `None` entries are budget-exhausted II searches (counted as
+/// `unschedulable`).
+fn audit_case(
+    case: &FuzzCase,
     machine: &MachineConfig,
     solver: &OptimalSolver,
 ) -> Vec<Option<OptGapRow>> {
-    let schedules: Vec<_> = Policy::ALL
+    let outcome = check_case_with(
+        FuzzCase {
+            machine: machine.clone(),
+            ..case.clone()
+        },
+        solver,
+    );
+    let mut rows: Vec<_> = outcome
+        .outcomes
         .iter()
-        .map(|&policy| {
-            (
-                policy,
-                vliw_sms::contain_schedule(|| policy.schedule(machine, graph)),
-            )
-        })
+        .map(|(policy, o)| row_of(case.index, machine, policy.label(), 1, o))
         .collect();
-    // One solve per distinct target machine, shared across the policies — the
-    // clustered policies target `machine` itself, the SMS reference its unified
-    // counterpart.
-    let unified_target = Policy::UnifiedSms.target_machine(machine);
-    let best_ii = |target: &MachineConfig| {
-        schedules
-            .iter()
-            .filter(|(p, _)| p.target_machine(machine) == *target)
-            .filter_map(|(_, r)| r.as_ref().ok().map(|out| out.diagnostics.ii))
-            .min()
-    };
-    let base_cert = solver.certify_with_incumbent(graph, machine, best_ii(machine));
-    let unified_cert =
-        solver.certify_with_incumbent(graph, &unified_target, best_ii(&unified_target));
-
-    let mut rows = Vec::new();
-    for (policy, result) in schedules {
-        let cert = match policy {
-            Policy::UnifiedSms => &unified_cert,
-            _ => &base_cert,
-        };
-        let outcome = match result {
-            Ok(out) => audit_scheduled(policy, machine, graph, &out, cert),
-            Err(vliw_sms::ScheduleError::MaxIiExceeded { .. }) => PolicyOutcome::Unschedulable,
-            Err(e) => PolicyOutcome::Rejected {
-                error: e.to_string(),
-            },
-        };
-        rows.push(row_of(case_index, machine, policy.label(), 1, &outcome));
-    }
-    // The unroll row: the exactly-unrolled kernel is a different loop, so it
-    // gets its own schedule-then-solve on the clustered machine.
-    if unroll_factor >= 2 && unroll_factor as u64 <= graph.iterations {
-        let kernel = vliw_ddg::unroll_exact(graph, unroll_factor).kernel;
-        let scheduled = vliw_sms::contain_schedule(|| Policy::Bsa.schedule(machine, &kernel));
-        let incumbent = scheduled.as_ref().ok().map(|out| out.diagnostics.ii);
-        let cert = solver.certify_with_incumbent(&kernel, machine, incumbent);
-        let outcome = match scheduled {
-            Ok(out) => audit_scheduled(Policy::Bsa, machine, &kernel, &out, &cert),
-            Err(vliw_sms::ScheduleError::MaxIiExceeded { .. }) => PolicyOutcome::Unschedulable,
-            Err(e) => PolicyOutcome::Rejected {
-                error: e.to_string(),
-            },
-        };
-        rows.push(row_of(
-            case_index,
+    rows.extend(outcome.unrolled.map(|u| {
+        row_of(
+            case.index,
             machine,
             Policy::Bsa.label(),
-            unroll_factor,
-            &outcome,
-        ));
-    }
+            u.factor,
+            &u.outcome,
+        )
+    }));
     rows
 }
 
@@ -249,7 +203,7 @@ fn row_of(
             ..
         } => {
             // The pipeline is an audit: any oracle disagreement on a committed
-            // figure artifact is a hard failure, exactly like `VERIFY_CELLS`.
+            // figure artifact is a hard failure, exactly like in the `lint` bin.
             assert!(
                 findings.is_empty()
                     || findings
@@ -299,21 +253,13 @@ pub fn fig_optgap() -> OptGapReport {
     ];
     let solver = OptimalSolver::new(FuelBudget::probes(OPTGAP_SOLVER_PROBES));
     let corpus = reduced_corpus();
-    let jobs: Vec<(&vliw_verify::FuzzCase, &MachineConfig)> = corpus
+    let jobs: Vec<(&FuzzCase, &MachineConfig)> = corpus
         .iter()
         .flat_map(|case| machines.iter().map(move |m| (case, m)))
         .collect();
     let audited: Vec<Vec<Option<OptGapRow>>> = jobs
         .par_iter()
-        .map(|&(case, machine)| {
-            audit_pair(
-                case.index,
-                &case.graph,
-                case.unroll_factor,
-                machine,
-                &solver,
-            )
-        })
+        .map(|&(case, machine)| audit_case(case, machine, &solver))
         .collect();
 
     let mut report = OptGapReport {
@@ -389,8 +335,8 @@ mod tests {
         let solver = OptimalSolver::new(FuelBudget::probes(20_000));
         for index in 0..2 {
             let case = generate_case(OPTGAP_SEED, index, &MachineSpace::table1());
-            let a = audit_pair(index, &case.graph, case.unroll_factor, &machine, &solver);
-            let b = audit_pair(index, &case.graph, case.unroll_factor, &machine, &solver);
+            let a = audit_case(&case, &machine, &solver);
+            let b = audit_case(&case, &machine, &solver);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 match (x, y) {

@@ -23,12 +23,9 @@
 //! JSONs are byte-identical to the pre-sweep implementation (guarded by the golden
 //! test in `tests/golden.rs`).
 //!
-//! [`Sweep::verify_cells`] opts a sweep into **execution validation**: every
-//! schedule of every cell is additionally audited by `vliw_sim`'s differential
-//! oracle (static certification, cycle-level replay, closed-form cycle cross-checks),
-//! turning any figure pipeline into an execution-validated experiment at the cost of
-//! a bounded per-loop replay.  The audit only observes, so validated outputs remain
-//! byte-identical; a violation aborts the run with the offending loop and machine.
+//! A sweep only schedules and measures.  Every schedule behind the committed
+//! figures is certified and replayed by the `lint` bin ([`crate::lint_audit`]),
+//! which enumerates the same deduplicated jobs through [`Sweep::jobs`].
 
 use crate::{Algorithm, CorpusResult};
 use cvliw_core::UnrollPolicy;
@@ -90,30 +87,12 @@ pub type SweepJob = (MachineConfig, Algorithm, UnrollPolicy);
 #[derive(Debug, Clone, Default)]
 pub struct Sweep {
     cells: Vec<CellSpec>,
-    verify: bool,
 }
 
 impl Sweep {
     /// An empty sweep.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Opt this sweep into execution validation: every schedule of every `(job,
-    /// corpus)` pair is audited by the differential oracle of `vliw_sim` (static
-    /// certification, cycle-level replay, closed-form cycle cross-checks) and the run
-    /// panics on the first failing loop.  Off by default — validation replays every
-    /// loop in the simulator, and the figure outputs are byte-identical either way
-    /// (the audit only observes).  The figure pipelines wire this to the
-    /// `VERIFY_CELLS` environment variable via [`crate::verify_from_env`].
-    pub fn verify_cells(&mut self, on: bool) -> &mut Self {
-        self.verify = on;
-        self
-    }
-
-    /// Whether execution validation is enabled.
-    pub fn is_verified(&self) -> bool {
-        self.verify
     }
 
     /// Declare a cell with no baseline.
@@ -201,18 +180,11 @@ impl Sweep {
         let pairs: Vec<(usize, usize)> = (0..jobs.len())
             .flat_map(|j| (0..corpora.len()).map(move |c| (j, c)))
             .collect();
-        let verify = self.verify;
         let flat: Vec<Arc<CorpusResult>> = pairs
             .par_iter()
             .map(|&(j, c)| {
                 let (machine, algorithm, policy) = &jobs[j];
-                Arc::new(crate::run_corpus_audited(
-                    &corpora[c],
-                    machine,
-                    *algorithm,
-                    *policy,
-                    verify,
-                ))
+                Arc::new(crate::run_corpus(&corpora[c], machine, *algorithm, *policy))
             })
             .collect();
         let result_of = |job: usize, corpus: usize| flat[job * corpora.len() + corpus].clone();
@@ -392,60 +364,6 @@ mod tests {
             assert!(Arc::ptr_eq(base_a, base_b));
             assert!(Arc::ptr_eq(base_a, base_c));
             assert!(base_a.ipc > 0.0);
-        }
-    }
-
-    #[test]
-    fn verified_sweeps_produce_identical_outcomes() {
-        let corpora = small_corpora();
-        let declare = |sweep: &mut Sweep| {
-            sweep.cell_vs(
-                MachineConfig::four_cluster(1, 2),
-                Algorithm::Bsa,
-                UnrollPolicy::Selective,
-                Baseline::UnifiedCounterpart,
-            )
-        };
-        let mut plain = Sweep::new();
-        let id = declare(&mut plain);
-        let mut verified = Sweep::new();
-        verified.verify_cells(true);
-        assert!(verified.is_verified());
-        let vid = declare(&mut verified);
-        // The audit only observes: a verified run must neither change a number nor
-        // panic on schedules the engine actually produces.
-        let a = plain.run(&corpora);
-        let b = verified.run(&corpora);
-        for (x, y) in a.cell(id).iter().zip(b.cell(vid)) {
-            assert_eq!(x.result.ipc, y.result.ipc);
-            assert_eq!(x.relative_ipc, y.relative_ipc);
-        }
-    }
-
-    #[test]
-    fn linted_sweeps_produce_identical_outcomes() {
-        let corpora = small_corpora();
-        let declare = |sweep: &mut Sweep| {
-            sweep.cell_vs(
-                MachineConfig::two_cluster(1, 1),
-                Algorithm::Bsa,
-                UnrollPolicy::Selective,
-                Baseline::UnifiedCounterpart,
-            )
-        };
-        let mut plain = Sweep::new();
-        let id = declare(&mut plain);
-        let mut linted = Sweep::new();
-        linted.verify_cells(true);
-        let lid = declare(&mut linted);
-        // A verified run certifies every schedule with the static certifier, which
-        // only observes: it must neither change a number nor panic on schedules the
-        // engine actually produces.
-        let a = plain.run(&corpora);
-        let b = linted.run(&corpora);
-        for (x, y) in a.cell(id).iter().zip(b.cell(lid)) {
-            assert_eq!(x.result.ipc, y.result.ipc);
-            assert_eq!(x.relative_ipc, y.relative_ipc);
         }
     }
 

@@ -410,6 +410,7 @@ impl ResilientScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use vliw_arch::OpClass;
     use vliw_ddg::GraphBuilder;
     use vliw_sms::{EngineView, Trial};
@@ -554,5 +555,40 @@ mod tests {
         let report =
             vliw_lint::Certifier::new(&machine).check(&g, &out.result.schedule, g.iterations);
         assert!(report.is_certified());
+    }
+
+    #[test]
+    fn an_expired_deadline_descends_every_searching_rung_to_sequential() {
+        // A generous probe budget, so only the wall-clock deadline can stop a rung.
+        let machine = MachineConfig::four_cluster(1, 1);
+        let g = saxpy();
+        let out = ResilientScheduler::new(&machine)
+            .with_rung_fuel(FuelBudget::probes(1 << 20).with_deadline(Duration::ZERO))
+            .schedule(&g)
+            .unwrap();
+        assert_eq!(out.rung(), "sequential");
+        let rungs: Vec<&str> = out.failures.iter().map(|f| f.rung.as_str()).collect();
+        assert_eq!(
+            rungs,
+            [
+                Policy::Bsa.label(),
+                Policy::UnifiedSms.label(),
+                Policy::LoadBalanced.label()
+            ]
+        );
+        for f in &out.failures {
+            assert!(
+                matches!(
+                    f.error,
+                    RungError::Schedule(ScheduleError::DeadlineExpired { .. })
+                ),
+                "{}: {}",
+                f.rung,
+                f.error
+            );
+        }
+        let report =
+            vliw_lint::Certifier::new(&machine).check(&g, &out.result.schedule, g.iterations);
+        assert!(report.is_certified(), "{:?}", report.deny_ids());
     }
 }

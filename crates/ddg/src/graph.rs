@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vliw_arch::{MachineConfig, OpClass};
+use vliw_arch::OpClass;
 
 /// Identifier of a node (operation) within a [`DepGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -272,19 +272,6 @@ impl DepGraph {
         id
     }
 
-    /// Add a flow (true data) dependence whose latency is the producer's latency on
-    /// `machine`.
-    pub fn add_flow_edge(
-        &mut self,
-        machine: &MachineConfig,
-        src: NodeId,
-        dst: NodeId,
-        distance: u32,
-    ) -> EdgeId {
-        let latency = machine.latency(self.node(src).class);
-        self.add_edge(src, dst, latency, distance, DepKind::Flow)
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn n_nodes(&self) -> usize {
@@ -452,7 +439,6 @@ impl fmt::Display for DepGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vliw_arch::MachineConfig;
 
     fn diamond() -> DepGraph {
         // a -> b, a -> c, b -> d, c -> d
@@ -498,16 +484,6 @@ mod tests {
         let counts = g.ops_per_fu_kind();
         // load + store on MEM, fmul + fadd on FP, nothing on INT
         assert_eq!(counts, [0, 2, 2]);
-    }
-
-    #[test]
-    fn flow_edge_latency_comes_from_machine() {
-        let machine = MachineConfig::unified();
-        let mut g = DepGraph::new("lat");
-        let a = g.add_node(OpClass::FpMul);
-        let b = g.add_node(OpClass::Store);
-        let e = g.add_flow_edge(&machine, a, b, 0);
-        assert_eq!(g.edge(e).latency, machine.latency(OpClass::FpMul));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! repository, exactly as in the paper ("The minimum II is computed as
 //! `max(ResMII, RecMII)`", Section 5.2 example).
 
-use crate::graph::{DepGraph, NodeId};
+use crate::graph::DepGraph;
 use vliw_arch::{FuKind, MachineConfig};
 
 /// The first functional-unit kind `graph` uses but `machine` has no unit of, if any.
@@ -117,37 +117,6 @@ fn has_positive_cycle(graph: &DepGraph, ii: u32) -> bool {
     false
 }
 
-/// The tightest recurrence bound `ceil(Σ latency / Σ distance)` over the cycle through
-/// the given nodes, if they form a simple cycle in order.  Utility used by tests and by
-/// the recurrence analysis to report per-recurrence RecMII values.
-pub fn cycle_bound(graph: &DepGraph, cycle: &[NodeId]) -> Option<u32> {
-    if cycle.is_empty() {
-        return None;
-    }
-    let mut latency = 0u64;
-    let mut distance = 0u64;
-    for (i, &u) in cycle.iter().enumerate() {
-        let v = cycle[(i + 1) % cycle.len()];
-        // Pick the edge u->v with the highest latency/lowest distance contribution; if
-        // several exist any of them closes the cycle, so take the max latency and the
-        // min distance to get the tightest bound.
-        let mut best: Option<(u32, u32)> = None;
-        for e in graph.out_edges(u).filter(|e| e.dst == v) {
-            best = Some(match best {
-                None => (e.latency, e.distance),
-                Some((l, d)) => (l.max(e.latency), d.min(e.distance)),
-            });
-        }
-        let (l, d) = best?;
-        latency += l as u64;
-        distance += d as u64;
-    }
-    if distance == 0 {
-        return None;
-    }
-    Some(latency.div_ceil(distance) as u32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,13 +214,6 @@ mod tests {
         assert_eq!(res_mii(&g, &machine), 1);
         assert_eq!(rec_mii(&g), 17);
         assert_eq!(mii(&g, &machine), 17);
-    }
-
-    #[test]
-    fn cycle_bound_matches_rec_mii_on_simple_cycle() {
-        let g = figure7_graph();
-        let cycle = [crate::NodeId(4), crate::NodeId(3), crate::NodeId(0)]; // E, D, A
-        assert_eq!(cycle_bound(&g, &cycle), Some(2));
     }
 
     #[test]

@@ -59,14 +59,6 @@ impl LintReport {
             .count()
     }
 
-    /// Number of warn-level findings.
-    pub fn warn_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warn)
-            .count()
-    }
-
     /// Whether the schedule is statically certified (no deny-level findings).
     pub fn is_certified(&self) -> bool {
         self.deny_count() == 0
@@ -138,7 +130,6 @@ mod tests {
             suppressed: vec![],
         };
         assert_eq!(report.deny_count(), 2);
-        assert_eq!(report.warn_count(), 1);
         assert!(!report.is_certified());
         assert_eq!(report.deny_ids(), vec!["fu-conflict".to_string()]);
         report.sort_diagnostics();

@@ -17,10 +17,9 @@
 //! * [`reportio`] — the report-writing/exit-code tail shared by the gate bins.
 //!
 //! The certifier is the static half of `vliw_sim::check_schedule`, so every
-//! fuzz case of `vliw-verify` and every `VERIFY_CELLS=1` figure cell of
-//! `vliw_bench::Sweep` is certified next to its replay; the `lint` binary audits
-//! every schedule behind the committed figure artifacts into
-//! `results/lint_report.json`.
+//! fuzz case of `vliw-verify` and every schedule behind the committed figure
+//! artifacts is certified next to its replay; the `lint` binary of
+//! `vliw-bench` runs the figure audit into `results/lint_report.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,14 +29,6 @@ impl TextTable {
         self
     }
 
-    /// Convenience: append a row of formatted floating-point values after a label.
-    pub fn row_f64(&mut self, label: &str, values: &[f64], precision: usize) -> &mut Self {
-        let mut cells = vec![label.to_string()];
-        cells.extend(values.iter().map(|v| format!("{v:.precision$}")));
-        self.rows.push(cells);
-        self
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -112,14 +104,6 @@ mod tests {
         let pos_a = lines[2].rfind("5.12").unwrap() + 4;
         let pos_b = lines[3].rfind("4.87").unwrap() + 4;
         assert_eq!(pos_a, pos_b);
-    }
-
-    #[test]
-    fn row_f64_formats_with_requested_precision() {
-        let mut t = TextTable::new(["bench", "a", "b"]);
-        t.row_f64("swim", &[1.23456, 0.5], 2);
-        assert!(t.render().contains("1.23"));
-        assert!(t.render().contains("0.50"));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!    would make the paper's IPC numbers lie about the executed loop.
 //!
 //! The `vliw-verify` fuzzing campaigns run this check over randomly sampled
-//! machines × loops × policies; `vliw_bench::Sweep` runs it over every figure cell
-//! when the opt-in `verify_cells` mode is enabled.
+//! machines × loops × policies; the `lint` binary of `vliw-bench` runs it over
+//! every schedule behind the committed figures.
 
 use crate::executor::KernelSimulator;
 use crate::validate::static_findings;

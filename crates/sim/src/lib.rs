@@ -14,8 +14,8 @@
 //!   the simulated makespan must equal [`vliw_lint::static_makespan`] exactly, and the
 //!   analytic `NCYCLES = (NITER + SC − 1)·II` used by the IPC accounting must sit
 //!   within its provable window of the measured makespan.  The fuzzing campaigns of
-//!   `vliw-verify` and the `verify_cells` mode of `vliw_bench::Sweep` are built on
-//!   this audit.
+//!   `vliw-verify` and the figure audit of `vliw-bench`'s `lint` binary are built
+//!   on this audit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,16 +1,17 @@
 //! Deterministic fuel budgets for the II search.
 //!
 //! A [`FuelBudget`] bounds the *counted work* of one [`crate::IiSearchDriver`] run —
-//! placement probes, ordering attempts and II steps — so a pathological loop cannot
-//! burn unbounded time inside a sweep or a scheduling service.  Because the units are
-//! counters of deterministic engine events (never wall clock), a budgeted run spends
+//! its placement probes — so a pathological loop cannot burn unbounded time inside
+//! a sweep or a scheduling service; ordering attempts and II steps are counted
+//! next to the probes.  Because the units are counters of deterministic engine
+//! events (never wall clock), a budgeted run spends
 //! exactly the same fuel on every machine, at every thread count, on every repeat:
 //! budgeted results are bit-reproducible.  An *optional* wall-clock [`Deadline`] can
 //! be layered on top for service deployments that need a hard latency bound and are
 //! willing to give up reproducibility when it fires.
 //!
-//! The driver threads a [`FuelMeter`] through the search; when a dimension of the
-//! budget runs out the search stops with
+//! The driver threads a [`FuelMeter`] through the search; when the probe budget
+//! runs out the search stops with
 //! [`crate::ScheduleError::BudgetExhausted`] carrying the exact [`FuelSpent`]
 //! counters, which also surface in
 //! [`crate::ScheduleDiagnostics::fuel`] on success.
@@ -41,23 +42,20 @@ impl Deadline {
     }
 }
 
-/// Limits on the counted work of one scheduling run.  `None` in every dimension
-/// means unlimited (the default).
+/// Limits on the counted work of one scheduling run: a probe cap and an optional
+/// deadline, both `None` (unlimited) by default.  Attempts and II steps are
+/// counted in [`FuelSpent`] but not capped.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FuelBudget {
     /// Maximum number of placement probes ([`crate::EngineView::probe`] calls)
     /// across the whole search.
     pub max_probes: Option<u64>,
-    /// Maximum number of scheduling attempts (orderings tried, across all IIs).
-    pub max_attempts: Option<u64>,
-    /// Maximum number of candidate IIs explored.
-    pub max_ii_steps: Option<u64>,
     /// Optional wall-clock deadline (see [`Deadline`] for the determinism caveat).
     pub deadline: Option<Deadline>,
 }
 
 impl FuelBudget {
-    /// The unlimited budget (every dimension `None`).
+    /// The unlimited budget (no probe cap, no deadline).
     pub fn unlimited() -> Self {
         Self::default()
     }
@@ -72,36 +70,10 @@ impl FuelBudget {
         }
     }
 
-    /// Set the probe limit.
-    pub fn with_probes(mut self, n: u64) -> Self {
-        self.max_probes = Some(n);
-        self
-    }
-
-    /// Set the attempt (orderings-tried) limit.
-    pub fn with_attempts(mut self, n: u64) -> Self {
-        self.max_attempts = Some(n);
-        self
-    }
-
-    /// Set the II-step limit.
-    pub fn with_ii_steps(mut self, n: u64) -> Self {
-        self.max_ii_steps = Some(n);
-        self
-    }
-
     /// Attach a wall-clock deadline `timeout` from now.
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
         self.deadline = Some(Deadline::after(timeout));
         self
-    }
-
-    /// Whether no dimension is limited.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_probes.is_none()
-            && self.max_attempts.is_none()
-            && self.max_ii_steps.is_none()
-            && self.deadline.is_none()
     }
 }
 
@@ -135,14 +107,14 @@ impl FuelSpent {
 /// Why a meter stopped granting fuel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuelStop {
-    /// A counted dimension of the budget ran out.
+    /// The probe budget ran out.
     Exhausted,
     /// The wall-clock deadline expired.
     DeadlineExpired,
 }
 
 /// The running meter the driver threads through one search: counts events against a
-/// [`FuelBudget`] and remembers the first dimension that ran out.
+/// [`FuelBudget`] and remembers why it first refused.
 #[derive(Debug, Clone)]
 pub struct FuelMeter {
     budget: FuelBudget,
@@ -176,23 +148,17 @@ impl FuelMeter {
         true
     }
 
-    /// Charge one scheduling attempt; `false` once the attempt budget is exhausted.
+    /// Charge one scheduling attempt; `false` once the meter has stopped.
     pub fn spend_attempt(&mut self) -> bool {
         if self.stop.is_some() {
             return false;
-        }
-        if let Some(max) = self.budget.max_attempts {
-            if self.spent.attempts >= max {
-                self.stop = Some(FuelStop::Exhausted);
-                return false;
-            }
         }
         self.spent.attempts += 1;
         true
     }
 
-    /// Charge one II step (also the deadline checkpoint); `false` once the II budget
-    /// is exhausted or the deadline has expired.
+    /// Charge one II step (also the deadline checkpoint); `false` once the meter
+    /// has stopped or the deadline has expired.
     pub fn spend_ii_step(&mut self) -> bool {
         if self.stop.is_some() {
             return false;
@@ -203,17 +169,11 @@ impl FuelMeter {
                 return false;
             }
         }
-        if let Some(max) = self.budget.max_ii_steps {
-            if self.spent.ii_steps >= max {
-                self.stop = Some(FuelStop::Exhausted);
-                return false;
-            }
-        }
         self.spent.ii_steps += 1;
         true
     }
 
-    /// The first refusal cause, if any dimension has run out.
+    /// The first refusal cause, if the meter has stopped.
     pub fn stopped(&self) -> Option<FuelStop> {
         self.stop
     }
@@ -257,15 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn attempt_and_ii_budgets_meter_independently() {
-        let mut m = FuelMeter::new(FuelBudget::unlimited().with_attempts(1).with_ii_steps(2));
-        assert!(m.spend_ii_step());
-        assert!(m.spend_attempt());
-        assert!(!m.spend_attempt());
-        assert_eq!(m.stopped(), Some(FuelStop::Exhausted));
-    }
-
-    #[test]
     fn expired_deadline_reports_deadline_stop() {
         let mut m = FuelMeter::new(FuelBudget::unlimited().with_deadline(Duration::ZERO));
         assert!(!m.spend_ii_step());
@@ -293,11 +244,10 @@ mod tests {
 
     #[test]
     fn budget_constructors_compose() {
-        let b = FuelBudget::probes(10).with_attempts(4);
+        let b = FuelBudget::probes(10).with_deadline(Duration::from_secs(60));
         assert_eq!(b.max_probes, Some(10));
-        assert_eq!(b.max_attempts, Some(4));
-        assert!(b.max_ii_steps.is_none());
-        assert!(!b.is_unlimited());
-        assert!(FuelBudget::unlimited().is_unlimited());
+        assert!(b.deadline.is_some_and(|d| !d.expired()));
+        let unlimited = FuelBudget::unlimited();
+        assert!(unlimited.max_probes.is_none() && unlimited.deadline.is_none());
     }
 }

@@ -26,9 +26,8 @@
 //!
 //! The `verify` binary drives a campaign from the command line and writes
 //! `results/verify_campaign.json`; CI runs a small fixed-seed campaign on every PR
-//! (the `verify-smoke` job).  The same oracle backs the opt-in `verify_cells` mode
-//! of `vliw_bench::Sweep`, which execution-validates every cell of a figure
-//! pipeline.
+//! (the `verify-smoke` job).  [`check_case_with`] runs the same case audit under
+//! a caller's solver; `vliw_bench`'s `fig_optgap` pipeline is built on it.
 //!
 //! [`fault`] turns the campaign machinery against the robustness layer itself: a
 //! [`FaultyPolicy`] injects a sampled misbehaviour (dropped bus reservations,
@@ -57,8 +56,8 @@ pub use fault::{
     FaultPlan, FaultyPolicy, UncontainedFault,
 };
 pub use oracle::{
-    audit_scheduled, check_case, check_policy, check_policy_with, check_unrolled,
-    solve_certificate, CaseOutcome, Policy, PolicyOutcome, UnrollAudit,
+    audit_scheduled, check_case, check_case_with, check_policy, check_unrolled, solve_certificate,
+    CaseOutcome, Policy, PolicyOutcome, UnrollAudit,
 };
 pub use report::{CampaignReport, Coverage, ShrunkRepro, ViolationReport};
 pub use shrink::{induced_subgraph, shrink_case, ShrinkResult};

@@ -83,14 +83,24 @@ pub struct CaseOutcome {
 /// [`PolicyOutcome::Rejected`] violation of that one case, instead of unwinding
 /// through the rayon pool and killing the whole campaign.
 pub fn check_policy(policy: Policy, machine: &MachineConfig, graph: &DepGraph) -> PolicyOutcome {
+    solve_and_audit(policy, machine, graph, &OptimalSolver::default())
+}
+
+/// [`check_policy`] with the caller's solver for the optimality certificate.
+fn solve_and_audit(
+    policy: Policy,
+    machine: &MachineConfig,
+    graph: &DepGraph,
+    solver: &OptimalSolver,
+) -> PolicyOutcome {
     match vliw_sms::contain_schedule(|| policy.schedule(machine, graph)) {
         Ok(out) => {
             // The achieved II seeds the solve as its incumbent: the schedule
             // the dynamic oracles are about to validate is itself a witness,
             // so the solver only has to close the range below it.
-            let certificate = solve_certificate(
-                &policy.target_machine(machine),
+            let certificate = solver.certify_with_incumbent(
                 graph,
+                &policy.target_machine(machine),
                 Some(out.diagnostics.ii),
             );
             audit_scheduled(policy, machine, graph, &out, &certificate)
@@ -112,25 +122,10 @@ pub fn solve_certificate(
     OptimalSolver::default().certify_with_incumbent(graph, machine, incumbent)
 }
 
-/// [`check_policy`] with a precomputed optimality certificate (must be for the
-/// policy's [`Policy::target_machine`]); [`check_case`] shares one solve across
-/// the policies targeting the same machine.
-pub fn check_policy_with(
-    policy: Policy,
-    machine: &MachineConfig,
-    graph: &DepGraph,
-    certificate: &OptCertificate,
-) -> PolicyOutcome {
-    match vliw_sms::contain_schedule(|| policy.schedule(machine, graph)) {
-        Ok(out) => audit_scheduled(policy, machine, graph, &out, certificate),
-        Err(e) => error_outcome(e),
-    }
-}
-
 /// Run the five audit oracles over one already-produced schedule.  Split out of
-/// [`check_policy_with`] so callers that need the achieved IIs *before* solving
-/// (to seed the solver's incumbent — [`check_case`] and the `fig_optgap`
-/// pipeline) can schedule first and audit second without scheduling twice.
+/// [`check_policy`] so callers that need the achieved IIs *before* solving (to
+/// seed the solver's incumbent, as [`check_case`] does) can schedule first and
+/// audit second without scheduling twice.
 pub fn audit_scheduled(
     policy: Policy,
     machine: &MachineConfig,
@@ -193,13 +188,24 @@ pub fn check_unrolled(
     graph: &DepGraph,
     factor: u32,
 ) -> Option<UnrollAudit> {
+    unroll_and_audit(machine, graph, factor, &OptimalSolver::default())
+}
+
+/// [`check_unrolled`] with the caller's solver.  An unroll kernel that cannot be
+/// scheduled is not solved.
+fn unroll_and_audit(
+    machine: &MachineConfig,
+    graph: &DepGraph,
+    factor: u32,
+    solver: &OptimalSolver,
+) -> Option<UnrollAudit> {
     if factor < 2 || factor as u64 > graph.iterations {
         return None;
     }
     let kernel = vliw_ddg::unroll_exact(graph, factor).kernel;
     Some(UnrollAudit {
         factor,
-        outcome: check_policy(Policy::Bsa, machine, &kernel),
+        outcome: solve_and_audit(Policy::Bsa, machine, &kernel, solver),
     })
 }
 
@@ -211,6 +217,12 @@ pub fn check_unrolled(
 /// policies that target it, so the solver starts from a validated incumbent —
 /// and finally audit each schedule against its machine's certificate.
 pub fn check_case(case: FuzzCase) -> CaseOutcome {
+    check_case_with(case, &OptimalSolver::default())
+}
+
+/// [`check_case`] with the caller's solver for every optimality certificate
+/// (the `fig_optgap` pipeline gives it a deeper fuel budget).
+pub fn check_case_with(case: FuzzCase, solver: &OptimalSolver) -> CaseOutcome {
     let schedules: Vec<(Policy, Result<ScheduledLoop, ScheduleError>)> = Policy::ALL
         .iter()
         .map(|&policy| {
@@ -230,11 +242,12 @@ pub fn check_case(case: FuzzCase) -> CaseOutcome {
             .filter_map(|(_, r)| r.as_ref().ok().map(|out| out.diagnostics.ii))
             .min()
     };
-    let base_cert = solve_certificate(&case.machine, &case.graph, best_ii(&case.machine));
+    let base_cert =
+        solver.certify_with_incumbent(&case.graph, &case.machine, best_ii(&case.machine));
     let unified_cert = if unified_target == case.machine {
         base_cert.clone()
     } else {
-        solve_certificate(&unified_target, &case.graph, best_ii(&unified_target))
+        solver.certify_with_incumbent(&case.graph, &unified_target, best_ii(&unified_target))
     };
     let outcomes = schedules
         .into_iter()
@@ -250,7 +263,7 @@ pub fn check_case(case: FuzzCase) -> CaseOutcome {
             (policy, outcome)
         })
         .collect();
-    let unrolled = check_unrolled(&case.machine, &case.graph, case.unroll_factor);
+    let unrolled = unroll_and_audit(&case.machine, &case.graph, case.unroll_factor, solver);
     CaseOutcome {
         case,
         outcomes,
