@@ -152,6 +152,15 @@ fn verdict_label(v: &OptVerdict) -> &'static str {
     }
 }
 
+/// One audited schedule's row, and whether its achieved II undercut the
+/// certified lower bound (the [`vliw_sim::Finding::IiBelowCertifiedBound`] that
+/// [`check_case_with`] reports).
+#[derive(Debug)]
+struct Audited {
+    row: OptGapRow,
+    below_bound: bool,
+}
+
 /// The audit of one `(case, machine)` pair: [`check_case_with`] on the case's
 /// loop retargeted to `machine` — every policy on the original loop, plus the
 /// case's sampled exactly-unrolled kernel under BSA — mapped to rows in that
@@ -161,7 +170,7 @@ fn audit_case(
     case: &FuzzCase,
     machine: &MachineConfig,
     solver: &OptimalSolver,
-) -> Vec<Option<OptGapRow>> {
+) -> Vec<Option<Audited>> {
     let outcome = check_case_with(
         FuzzCase {
             machine: machine.clone(),
@@ -192,7 +201,7 @@ fn row_of(
     policy: &str,
     unroll_factor: u32,
     outcome: &PolicyOutcome,
-) -> Option<OptGapRow> {
+) -> Option<Audited> {
     match outcome {
         PolicyOutcome::Scheduled {
             ii,
@@ -212,7 +221,10 @@ fn row_of(
                 "fig_optgap: case {case_index} on {}: non-optimality findings {findings:?}",
                 machine.name
             );
-            Some(OptGapRow {
+            let below_bound = findings
+                .iter()
+                .any(|f| matches!(f, vliw_sim::Finding::IiBelowCertifiedBound { .. }));
+            let row = OptGapRow {
                 case: case_index,
                 loop_name: certificate.loop_name.clone(),
                 machine: machine.name.clone(),
@@ -226,20 +238,13 @@ fn row_of(
                 gap: certificate.gap_to(*ii),
                 exact: certificate.is_exact(),
                 fuel_exhausted: certificate.exhausted,
-            })
+            };
+            Some(Audited { row, below_bound })
         }
         PolicyOutcome::Unschedulable => None,
         PolicyOutcome::Rejected { error } => {
             panic!("fig_optgap: case {case_index} on {}: scheduler rejected the generated loop: {error}", machine.name)
         }
-    }
-}
-
-fn certificate_violated(row: &OptGapRow) -> bool {
-    match row.lower_bound {
-        Some(lb) => (row.ii as i64) < lb as i64,
-        // An achieved schedule refutes an infeasibility verdict outright.
-        None => true,
     }
 }
 
@@ -257,7 +262,7 @@ pub fn fig_optgap() -> OptGapReport {
         .iter()
         .flat_map(|case| machines.iter().map(move |m| (case, m)))
         .collect();
-    let audited: Vec<Vec<Option<OptGapRow>>> = jobs
+    let audited: Vec<Vec<Option<Audited>>> = jobs
         .par_iter()
         .map(|&(case, machine)| audit_case(case, machine, &solver))
         .collect();
@@ -274,8 +279,8 @@ pub fn fig_optgap() -> OptGapReport {
         gaps_by_unroll: BTreeMap::new(),
         rows: Vec::new(),
     };
-    for row in audited.into_iter().flatten() {
-        let Some(row) = row else {
+    for audited in audited.into_iter().flatten() {
+        let Some(Audited { row, below_bound }) = audited else {
             report.summary.unschedulable += 1;
             continue;
         };
@@ -289,7 +294,7 @@ pub fn fig_optgap() -> OptGapReport {
         if row.fuel_exhausted {
             s.solver_fuel_exhausted += 1;
         }
-        if certificate_violated(&row) {
+        if below_bound {
             s.lower_bound_violations += 1;
         }
         if row.exact && Some(row.ii) == row.lower_bound {
@@ -342,8 +347,9 @@ mod tests {
                 match (x, y) {
                     (None, None) => {}
                     (Some(x), Some(y)) => {
+                        let (x, y, below_bound) = (&x.row, &y.row, x.below_bound);
                         assert_eq!((x.ii, x.lower_bound, x.gap), (y.ii, y.lower_bound, y.gap));
-                        assert!(!certificate_violated(x), "{x:?}");
+                        assert!(!below_bound, "{x:?}");
                     }
                     _ => panic!("determinism violated at case {index}"),
                 }

@@ -94,6 +94,12 @@ impl Default for BsaPolicy {
 }
 
 impl ClusterPolicy for BsaPolicy {
+    fn fork(&self) -> Option<Box<dyn ClusterPolicy + Send>> {
+        // `begin_attempt` resets the rotation, the profit table and the pending
+        // commit, and `trials` is cleared per node.
+        Some(Box::new(self.clone()))
+    }
+
     fn begin_attempt(&mut self, graph: &DepGraph, machine: &MachineConfig, _ii: u32) {
         // Figure 5 initialises the default cluster before the loop; starting at the
         // last cluster makes the first new subgraph use cluster 0.

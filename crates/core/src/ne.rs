@@ -67,6 +67,12 @@ impl ClusterPolicy for NePolicy {
     fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
         self.fixed.select_placement(node, view)
     }
+
+    fn fork(&self) -> Option<Box<dyn ClusterPolicy + Send>> {
+        // The condensation depends only on the graph, and `begin_ii` recomputes
+        // the assignment.
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// Phase 1: partition the nodes of `graph` across the clusters of `machine` at

@@ -48,6 +48,10 @@ use crate::pressure::PressureTracker;
 use crate::schedule::{CommPlacement, ModuloSchedule, PlacedOp, ScheduleError};
 use crate::slots::{early_start, late_start, SlotScan};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc;
 use vliw_arch::{MachineConfig, ResourceIndex, ResourceKind, ResourcePool};
 use vliw_ddg::{missing_fu_kind, rec_mii, res_mii, DepGraph, GraphAnalysis, NodeId};
 
@@ -345,6 +349,22 @@ pub trait ClusterPolicy {
     /// Choose the placement of `node`, or `None` when no cluster can take it at this
     /// II (the attempt fails and the II search continues).
     fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial>;
+
+    /// A copy of this policy for a helper thread of the pipelined II search (see
+    /// [`IiSearchDriver`]), or `None` — the default — to keep every search with
+    /// this policy sequential.
+    ///
+    /// **Contract:** a policy may fork only if [`ClusterPolicy::begin_ii`] and
+    /// [`ClusterPolicy::begin_attempt`] reset every piece of state that
+    /// [`ClusterPolicy::select_placement`] reads, so that an attempt depends only on
+    /// (graph, machine, II, node order) and never on the attempts the instance ran
+    /// before.  The pipelined search runs different IIs on different copies, out of
+    /// order, and folds their outcomes in II order; this contract is what makes its
+    /// result byte-identical to the sequential search's.  A policy that keeps state
+    /// across attempts (a log, a learned bias) must not fork.
+    fn fork(&self) -> Option<Box<dyn ClusterPolicy + Send>> {
+        None
+    }
 }
 
 /// A policy that schedules every node on a pre-computed cluster (the building block
@@ -373,6 +393,11 @@ impl FixedAssignmentPolicy {
 }
 
 impl ClusterPolicy for FixedAssignmentPolicy {
+    fn fork(&self) -> Option<Box<dyn ClusterPolicy + Send>> {
+        // The assignment is fixed and the policy keeps no per-attempt state.
+        Some(Box::new(self.clone()))
+    }
+
     fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
         // A node past the end of the assignment probes no real cluster, which the
         // engine refuses like any other out-of-range cluster.
@@ -503,17 +528,35 @@ struct AttemptFailure {
     register: bool,
 }
 
-/// Outcome of one failed attempt: a retryable failure (next ordering / next II) or a
-/// fatal error that must abort the whole search (internal to the driver).
+/// Outcome of one failed attempt: a retryable failure (next ordering / next II), a
+/// fatal error that must abort the whole search, or an attempt the pipelined search
+/// abandoned because a lower II already ended it (internal to the driver).
 enum AttemptError {
     Failed(AttemptFailure),
     Fatal(ScheduleError),
+    Abandoned,
+}
+
+/// What one II step ([`IiSearchDriver::ii_step`]) came to (internal to the driver).
+enum StepOutcome {
+    /// An ordering scheduled the loop: the normalized schedule, its per-cluster
+    /// `MaxLive`, and the step's record (`orders_tried` counts the orderings that
+    /// failed before the successful one).
+    Scheduled(ModuloSchedule, Vec<u32>, IiStep),
+    /// Every ordering failed at this II.
+    Failed(IiStep),
+    /// An error that ends the whole search.
+    Fatal(ScheduleError),
+    /// The fuel meter stopped, or the pipelined search abandoned the step because
+    /// a lower II already ended the search.
+    Stopped,
 }
 
 /// Reusable buffers for the II search: the reservation table survives `reset`, and
 /// the per-node assignment keeps its allocation across retries, so one
 /// [`IiSearchDriver::schedule`] call performs a fixed number of engine-side
-/// allocations regardless of how many IIs it explores.
+/// allocations regardless of how many IIs it explores (one set per thread on the
+/// pipelined path).
 struct EngineScratch {
     mrt: ModuloReservationTable,
     assignment: Vec<Option<usize>>,
@@ -521,10 +564,146 @@ struct EngineScratch {
     comm_scratch: ProbeComms,
 }
 
+impl EngineScratch {
+    fn new(inputs: &StepInputs<'_>) -> Self {
+        Self {
+            mrt: ModuloReservationTable::new(&inputs.pool, inputs.mii.max(1)),
+            assignment: vec![None; inputs.graph.n_nodes()],
+            tracker: PressureTracker::new(),
+            comm_scratch: ProbeComms::default(),
+        }
+    }
+}
+
+/// The loop-invariant inputs of one search, shared by all of its II steps (and by
+/// every thread of the pipelined path).
+struct StepInputs<'g> {
+    graph: &'g DepGraph,
+    pool: ResourcePool,
+    /// The SMS node-set partition depends only on the graph structure, never on
+    /// the candidate II: it is computed once for the whole search.
+    node_sets: Vec<Vec<NodeId>>,
+    mii: u32,
+    /// When the register check runs (see [`IiSearchDriver::schedule_unified`]).
+    per_placement: bool,
+}
+
+/// The in-order fold of II-step outcomes into the search's result.
+struct Fold {
+    res: u32,
+    rec: u32,
+    mii: u32,
+    /// The last II the search tries (`max_ii(mii)`).
+    limit: u32,
+    /// The II whose outcome is folded next.
+    next: u32,
+    metered: bool,
+    /// Every II with at least one failed ordering, in II order.
+    trajectory: Vec<IiStep>,
+}
+
+impl Fold {
+    /// Fold the outcome of the step at II `self.next`; `Break` carries the
+    /// search's result.
+    fn fold(
+        &mut self,
+        outcome: StepOutcome,
+        meter: &FuelMeter,
+    ) -> ControlFlow<Result<ScheduledLoop, ScheduleError>> {
+        let ii = self.next;
+        match outcome {
+            StepOutcome::Scheduled(schedule, max_live_per_cluster, step) => {
+                // A failed ordering at the *successful* II (the SMS order failed,
+                // the topological fallback succeeded) still belongs to the
+                // trajectory.
+                if step.orders_tried > 0 {
+                    self.trajectory.push(step);
+                }
+                let fuel = self.metered.then(|| meter.spent());
+                let diagnostics = self.diagnostics(&schedule, max_live_per_cluster, fuel);
+                ControlFlow::Break(Ok(ScheduledLoop {
+                    schedule,
+                    diagnostics,
+                }))
+            }
+            StepOutcome::Failed(step) => {
+                self.trajectory.push(step);
+                if ii == self.limit {
+                    return ControlFlow::Break(Err(ScheduleError::MaxIiExceeded {
+                        mii: self.mii,
+                        max_ii_tried: self.limit,
+                    }));
+                }
+                self.next += 1;
+                ControlFlow::Continue(())
+            }
+            StepOutcome::Fatal(e) => ControlFlow::Break(Err(e)),
+            StepOutcome::Stopped => {
+                ControlFlow::Break(Err(IiSearchDriver::fuel_error(meter, self.mii, ii)))
+            }
+        }
+    }
+
+    /// Build the diagnostics of a successful schedule.  The paper's `LimitedByBus`
+    /// predicate is "some failed attempt saw bus saturation, and II > MII".
+    fn diagnostics(
+        &mut self,
+        sched: &ModuloSchedule,
+        max_live_per_cluster: Vec<u32>,
+        fuel: Option<FuelSpent>,
+    ) -> ScheduleDiagnostics {
+        let (res, rec, mii) = (self.res, self.rec, self.mii);
+        let limiting = if sched.ii() == mii {
+            if rec >= res {
+                LimitingResource::Recurrence
+            } else {
+                LimitingResource::FunctionalUnits
+            }
+        } else if self.trajectory.iter().any(|s| s.bus_blocked) {
+            LimitingResource::Bus
+        } else if self.trajectory.iter().any(|s| s.register_blocked) {
+            LimitingResource::Registers
+        } else {
+            LimitingResource::FunctionalUnits
+        };
+        ScheduleDiagnostics {
+            ii: sched.ii(),
+            mii,
+            res_mii: res,
+            rec_mii: rec,
+            limiting,
+            ii_trajectory: std::mem::take(&mut self.trajectory),
+            n_comms: sched.comms().len(),
+            max_live_per_cluster,
+            fuel,
+            rung: None,
+        }
+    }
+}
+
+/// Probes the folded steps of an unmetered search must have spent before it may
+/// switch to the pipelined path, about a millisecond of search.  Starting and
+/// joining the helpers costs tens of microseconds and steals time from the
+/// calling thread when the other cores are busy, so the gate keeps that cost a
+/// few percent of the time the search has already spent: short searches, the
+/// bulk of all searches, stay sequential, and the long failing ones pipeline.  A
+/// probe count, not a clock, so whether a search switches is deterministic.
+const PIPELINE_GATE_PROBES: u64 = 4096;
+
+/// Stops the pipelined search's helpers when the folding thread leaves the scope,
+/// by return or by unwind: every step still running is then above the cutoff.
+struct StopHelpers<'a>(&'a AtomicU32);
+
+impl Drop for StopHelpers<'_> {
+    fn drop(&mut self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+}
+
 /// The shared II-search driver (see module docs).
 ///
-/// Borrow a machine, pick the register-check mode, then [`IiSearchDriver::schedule`]
-/// any graph with any [`ClusterPolicy`].
+/// Borrow a machine, then [`IiSearchDriver::schedule`] any graph with any
+/// [`ClusterPolicy`].
 ///
 /// # Incremental II search
 ///
@@ -534,13 +713,32 @@ struct EngineScratch {
 /// the SMS ordering and its topological fallback (which is built only when the SMS
 /// attempt actually fails), and the per-placement register check is answered by an
 /// incremental [`PressureTracker`] instead of rebuilding every lifetime per probe.
+///
+/// # Pipelined II search
+///
+/// Each II step is a pure function of (graph, machine, II, policy) — the policy's
+/// state is reset by [`ClusterPolicy::begin_ii`] and
+/// [`ClusterPolicy::begin_attempt`] — so the steps after the current one can run
+/// ahead on idle cores.  Once the steps folded so far have spent 4096 probes (a
+/// count, not a clock, so the switch is deterministic), an unmetered search that
+/// is not itself on a rayon pool worker, with more than one rayon thread and a
+/// policy that [forks](ClusterPolicy::fork), starts `current_num_threads() − 1`
+/// helper threads.  Every thread claims the next unclaimed II and runs its step
+/// with its own scratch; the calling thread folds the outcomes strictly in II
+/// order.  A step that ends the search lowers a shared cutoff, and steps above it
+/// are abandoned.  Metered searches (a [`FuelBudget`]) never leave the sequential
+/// path, so their fuel receipts count exactly the steps a sequential search makes.
+///
 /// **Equivalence guarantee:** all of this is a pure optimization — schedules,
 /// [`ScheduleDiagnostics`] (including the II trajectory) and fuel receipts are those
-/// of the from-scratch search.  Debug builds cross-check every incremental pressure
-/// answer against the tracker's from-scratch fold
-/// ([`PressureTracker::of_schedule`]), and
+/// of the from-scratch sequential search, at every thread count.  Debug builds
+/// cross-check every incremental pressure answer against the tracker's from-scratch
+/// fold ([`PressureTracker::of_schedule`]);
 /// `crates/verify/tests/incremental_equiv.rs` certifies the schedules of all five
-/// policies on random machines against the independent `vliw_lint` analyses.
+/// policies on random machines against the independent `vliw_lint` analyses; and
+/// `tests/pipelined_search.rs` requires byte-identical schedules of all five
+/// policies at `RAYON_NUM_THREADS` 1, 2 and 4 on loops that cross the pipelining
+/// gate.
 ///
 /// The register constraint is part of the model, never an option: a placement that
 /// overflows a register file is not a candidate.  A machine without a practical
@@ -549,6 +747,9 @@ struct EngineScratch {
 pub struct IiSearchDriver<'m> {
     machine: &'m MachineConfig,
     fuel: Option<FuelBudget>,
+    /// Threads the pipelined path may use; `None` asks rayon.  Only unit tests pin
+    /// it, so that they exercise the pipelined path on any host.
+    threads: Option<usize>,
 }
 
 impl<'m> IiSearchDriver<'m> {
@@ -557,6 +758,7 @@ impl<'m> IiSearchDriver<'m> {
         Self {
             machine,
             fuel: None,
+            threads: None,
         }
     }
 
@@ -566,6 +768,13 @@ impl<'m> IiSearchDriver<'m> {
     /// [`ScheduleError::BudgetExhausted`] when the budget runs out.
     pub fn with_fuel(mut self, budget: FuelBudget) -> Self {
         self.fuel = Some(budget);
+        self
+    }
+
+    /// Pin the pipelined path's thread count (tests only; see `threads`).
+    #[cfg(test)]
+    pub(crate) fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads);
         self
     }
 
@@ -614,7 +823,8 @@ impl<'m> IiSearchDriver<'m> {
     }
 
     /// The II search behind both entry points; `per_placement` selects when the
-    /// register check runs.
+    /// register check runs.  Sequentially: compute the next II step, fold it; past
+    /// the gate, possibly pipelined (see the type docs).
     fn search<P: ClusterPolicy + ?Sized>(
         &self,
         graph: &DepGraph,
@@ -628,121 +838,140 @@ impl<'m> IiSearchDriver<'m> {
         // `mii()` is `max(res_mii, rec_mii)`; computing the components once serves
         // both the search and the diagnostics.
         let mii = res.max(rec);
-        let limit = max_ii(mii);
-        let pool = ResourcePool::new(self.machine);
-        let mut scratch = EngineScratch {
-            mrt: ModuloReservationTable::new(&pool, mii.max(1)),
-            assignment: vec![None; graph.n_nodes()],
-            tracker: PressureTracker::new(),
-            comm_scratch: ProbeComms::default(),
+        let inputs = StepInputs {
+            graph,
+            pool: ResourcePool::new(self.machine),
+            node_sets: ordering::node_sets(graph),
+            mii,
+            per_placement,
         };
-        // The SMS node-set partition depends only on the graph structure, never on
-        // the candidate II: compute it once for the whole search.
-        let node_sets = ordering::node_sets(graph);
+        let mut scratch = EngineScratch::new(&inputs);
         // The meter is always threaded (unlimited when no budget was set); only a
         // budgeted run reports its counters in the diagnostics, so unbudgeted runs
         // keep their serialized form byte-identical.
         let mut meter = FuelMeter::new(self.fuel.unwrap_or_default());
-        let metered = self.fuel.is_some();
-        let mut trajectory: Vec<IiStep> = Vec::new();
-        // Failure causes accumulated over every failed attempt so far; the paper's
-        // `LimitedByBus` predicate is `bus_seen && II > MII` at success time.
-        let mut bus_seen = false;
-        let mut register_seen = false;
-        for ii in mii..=limit {
-            if !meter.spend_ii_step() {
-                return Err(Self::fuel_error(&meter, mii, ii));
-            }
-            policy.begin_ii(graph, self.machine, ii);
-            // The SMS order gives the best schedules; the topological fallback
-            // guarantees progress on graphs where the SMS order sandwiches a node
-            // between already-placed predecessors and successors.  Both orderings
-            // share one graph analysis per II, and the fallback order is built only
-            // if the SMS attempt actually fails (`graph.validate()` already ruled
-            // out the zero-distance cycles that could make it error).
-            let analysis = GraphAnalysis::new(graph, ii);
-            let order = ordering::order_nodes_with(graph, &analysis, &node_sets)
-                .map_err(ScheduleError::DegenerateGraph)?;
-            let mut ctx = OrderingContext { analysis, order };
-            let mut step = IiStep {
-                ii,
-                orders_tried: 0,
-                bus_blocked: false,
-                register_blocked: false,
-            };
-            for pass in 0..2 {
-                if !meter.spend_attempt() {
-                    return Err(Self::fuel_error(&meter, mii, ii));
-                }
-                policy.begin_attempt(graph, self.machine, ii);
-                match self.try_schedule(
-                    graph,
-                    &ctx,
-                    &pool,
-                    &mut scratch,
-                    policy,
-                    ii,
-                    mii,
-                    &mut meter,
-                    per_placement,
-                ) {
-                    Ok(mut sched) => {
-                        // Normalizing shifts every cycle by a multiple of II, so the
-                        // committed pressure rows describe the final schedule too.
-                        sched.normalize();
-                        let max_live_per_cluster = scratch.tracker.max_live();
-                        debug_assert_eq!(
-                            max_live_per_cluster,
-                            PressureTracker::of_schedule(graph, &sched, self.machine).max_live(),
-                            "committed pressure diverged from the from-scratch fold"
-                        );
-                        // A failed ordering at the *successful* II (the SMS order
-                        // failed, the topological fallback succeeded) still belongs
-                        // to the trajectory.
-                        if step.orders_tried > 0 {
-                            trajectory.push(step);
-                        }
-                        let diagnostics = self.diagnostics(
-                            &sched,
-                            max_live_per_cluster,
-                            res,
-                            rec,
-                            mii,
-                            bus_seen,
-                            register_seen,
-                            trajectory,
-                            metered.then(|| meter.spent()),
-                        );
-                        return Ok(ScheduledLoop {
-                            schedule: sched,
-                            diagnostics,
-                        });
-                    }
-                    Err(AttemptError::Fatal(e)) => return Err(e),
-                    Err(AttemptError::Failed(failure)) => {
-                        step.orders_tried += 1;
-                        step.bus_blocked |= failure.bus;
-                        step.register_blocked |= failure.register;
-                        bus_seen |= failure.bus;
-                        register_seen |= failure.register;
-                        // A probe budget that ran out mid-attempt made the failure
-                        // above inevitable: stop the search here instead of letting
-                        // every remaining II fail on refused probes.
-                        if meter.stopped().is_some() {
-                            return Err(Self::fuel_error(&meter, mii, ii));
-                        }
-                        if pass == 0 {
-                            ctx.order = ordering::topological_order(graph, &ctx.analysis)
-                                .map_err(ScheduleError::DegenerateGraph)?;
-                        }
-                    }
-                }
-            }
-            trajectory.push(step);
-        }
-        Err(ScheduleError::MaxIiExceeded {
+        let mut fold = Fold {
+            res,
+            rec,
             mii,
-            max_ii_tried: limit,
+            limit: max_ii(mii),
+            next: mii,
+            metered: self.fuel.is_some(),
+            trajectory: Vec::new(),
+        };
+        let mut may_pipeline = self.fuel.is_none();
+        loop {
+            let outcome = self.ii_step(&inputs, fold.next, policy, &mut scratch, &mut meter, None);
+            if let ControlFlow::Break(result) = fold.fold(outcome, &meter) {
+                return result;
+            }
+            if may_pipeline && meter.spent().probes >= PIPELINE_GATE_PROBES {
+                may_pipeline = false;
+                if let Some(helpers) = self.helper_policies(&*policy, fold.limit - fold.next + 1) {
+                    return self.search_pipelined(
+                        &inputs,
+                        fold,
+                        policy,
+                        &mut scratch,
+                        &mut meter,
+                        helpers,
+                    );
+                }
+            }
+        }
+    }
+
+    /// The policies of the pipelined path's helper threads (at most `remaining`),
+    /// or `None` when the search stays sequential: on a rayon pool worker (the pool
+    /// already keeps every core busy), with a single thread, or with a policy that
+    /// does not fork.
+    fn helper_policies<P: ClusterPolicy + ?Sized>(
+        &self,
+        policy: &P,
+        remaining: u32,
+    ) -> Option<Vec<Box<dyn ClusterPolicy + Send>>> {
+        if rayon::current_thread_index().is_some() {
+            return None;
+        }
+        let threads = self.threads.unwrap_or_else(rayon::current_num_threads);
+        let helpers = (threads.saturating_sub(1)).min(remaining as usize);
+        if helpers == 0 {
+            return None;
+        }
+        (0..helpers).map(|_| policy.fork()).collect()
+    }
+
+    /// The pipelined II search from `fold.next` on (see the type docs): the
+    /// calling thread and one thread per helper policy claim IIs from a shared
+    /// counter, and the calling thread folds their outcomes strictly in II order.
+    fn search_pipelined<P: ClusterPolicy + ?Sized>(
+        &self,
+        inputs: &StepInputs<'_>,
+        mut fold: Fold,
+        policy: &mut P,
+        scratch: &mut EngineScratch,
+        meter: &mut FuelMeter,
+        helpers: Vec<Box<dyn ClusterPolicy + Send>>,
+    ) -> Result<ScheduledLoop, ScheduleError> {
+        let limit = fold.limit;
+        let next = AtomicU32::new(fold.next);
+        // The lowest II whose step ended the search; steps above it are abandoned.
+        let cutoff = AtomicU32::new(u32::MAX);
+        let claim = || {
+            let ii = next.fetch_add(1, Ordering::Relaxed);
+            (ii <= limit && ii <= cutoff.load(Ordering::Relaxed)).then_some(ii)
+        };
+        std::thread::scope(|scope| {
+            let _stop = StopHelpers(&cutoff);
+            let (sender, outcomes) = mpsc::channel();
+            for mut helper in helpers {
+                let sender = sender.clone();
+                let (claim, cutoff) = (&claim, &cutoff);
+                scope.spawn(move || {
+                    let mut scratch = EngineScratch::new(inputs);
+                    let mut meter = FuelMeter::new(FuelBudget::unlimited());
+                    while let Some(ii) = claim() {
+                        let outcome = self.ii_step(
+                            inputs,
+                            ii,
+                            &mut *helper,
+                            &mut scratch,
+                            &mut meter,
+                            Some(cutoff),
+                        );
+                        if sender.send((ii, outcome)).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(sender);
+            let mut ready = BTreeMap::new();
+            loop {
+                if let Some(outcome) = ready.remove(&fold.next) {
+                    if let ControlFlow::Break(result) = fold.fold(outcome, meter) {
+                        return result;
+                    }
+                    continue;
+                }
+                ready.extend(outcomes.try_iter());
+                if ready.contains_key(&fold.next) {
+                    continue;
+                }
+                // The next outcome to fold is not in: run an unclaimed II meanwhile,
+                // or wait for the helper that claimed it.  Every II at or below the
+                // cutoff was claimed, and its claimant always reports it.
+                let (ii, outcome) = match claim() {
+                    Some(ii) => (
+                        ii,
+                        self.ii_step(inputs, ii, policy, scratch, meter, Some(&cutoff)),
+                    ),
+                    None => outcomes
+                        .recv()
+                        .expect("a helper exited without reporting its II step"),
+                };
+                ready.insert(ii, outcome);
+            }
         })
     }
 
@@ -756,6 +985,101 @@ impl<'m> IiSearchDriver<'m> {
                 spent: meter.spent(),
             },
         }
+    }
+
+    /// One II step: [`ClusterPolicy::begin_ii`], the SMS order, then the
+    /// topological fallback.  On the pipelined path `cutoff` is the lowest II that
+    /// ended the search so far: a step above it is abandoned, and a step that ends
+    /// the search lowers it.
+    fn ii_step<P: ClusterPolicy + ?Sized>(
+        &self,
+        inputs: &StepInputs<'_>,
+        ii: u32,
+        policy: &mut P,
+        scratch: &mut EngineScratch,
+        meter: &mut FuelMeter,
+        cutoff: Option<&AtomicU32>,
+    ) -> StepOutcome {
+        let outcome = self.run_ii_step(inputs, ii, policy, scratch, meter, cutoff);
+        let ends_search = matches!(outcome, StepOutcome::Scheduled(..) | StepOutcome::Fatal(_));
+        if let Some(cutoff) = cutoff.filter(|_| ends_search) {
+            cutoff.fetch_min(ii, Ordering::Relaxed);
+        }
+        outcome
+    }
+
+    fn run_ii_step<P: ClusterPolicy + ?Sized>(
+        &self,
+        inputs: &StepInputs<'_>,
+        ii: u32,
+        policy: &mut P,
+        scratch: &mut EngineScratch,
+        meter: &mut FuelMeter,
+        cutoff: Option<&AtomicU32>,
+    ) -> StepOutcome {
+        let graph = inputs.graph;
+        if !meter.spend_ii_step() {
+            return StepOutcome::Stopped;
+        }
+        policy.begin_ii(graph, self.machine, ii);
+        // The SMS order gives the best schedules; the topological fallback
+        // guarantees progress on graphs where the SMS order sandwiches a node
+        // between already-placed predecessors and successors.  Both orderings
+        // share one graph analysis per II, and the fallback order is built only
+        // if the SMS attempt actually fails (`graph.validate()` already ruled
+        // out the zero-distance cycles that could make it error).
+        let analysis = GraphAnalysis::new(graph, ii);
+        let order = match ordering::order_nodes_with(graph, &analysis, &inputs.node_sets) {
+            Ok(order) => order,
+            Err(e) => return StepOutcome::Fatal(ScheduleError::DegenerateGraph(e)),
+        };
+        let mut ctx = OrderingContext { analysis, order };
+        let mut step = IiStep {
+            ii,
+            orders_tried: 0,
+            bus_blocked: false,
+            register_blocked: false,
+        };
+        for pass in 0..2 {
+            if !meter.spend_attempt() {
+                return StepOutcome::Stopped;
+            }
+            policy.begin_attempt(graph, self.machine, ii);
+            match self.try_schedule(inputs, &ctx, scratch, policy, ii, meter, cutoff) {
+                Ok(mut sched) => {
+                    // Normalizing shifts every cycle by a multiple of II, so the
+                    // committed pressure rows describe the final schedule too.
+                    sched.normalize();
+                    let max_live_per_cluster = scratch.tracker.max_live();
+                    debug_assert_eq!(
+                        max_live_per_cluster,
+                        PressureTracker::of_schedule(graph, &sched, self.machine).max_live(),
+                        "committed pressure diverged from the from-scratch fold"
+                    );
+                    return StepOutcome::Scheduled(sched, max_live_per_cluster, step);
+                }
+                Err(AttemptError::Fatal(e)) => return StepOutcome::Fatal(e),
+                Err(AttemptError::Abandoned) => return StepOutcome::Stopped,
+                Err(AttemptError::Failed(failure)) => {
+                    step.orders_tried += 1;
+                    step.bus_blocked |= failure.bus;
+                    step.register_blocked |= failure.register;
+                    // A probe budget that ran out mid-attempt made the failure
+                    // above inevitable: stop the search here instead of letting
+                    // every remaining II fail on refused probes.
+                    if meter.stopped().is_some() {
+                        return StepOutcome::Stopped;
+                    }
+                    if pass == 0 {
+                        ctx.order = match ordering::topological_order(graph, &ctx.analysis) {
+                            Ok(order) => order,
+                            Err(e) => return StepOutcome::Fatal(ScheduleError::DegenerateGraph(e)),
+                        };
+                    }
+                }
+            }
+        }
+        StepOutcome::Failed(step)
     }
 
     /// Refuse to commit a trial the policy fabricated outside the machine: the
@@ -821,16 +1145,21 @@ impl<'m> IiSearchDriver<'m> {
     #[allow(clippy::too_many_arguments)]
     fn try_schedule<P: ClusterPolicy + ?Sized>(
         &self,
-        graph: &DepGraph,
+        inputs: &StepInputs<'_>,
         ctx: &OrderingContext,
-        pool: &ResourcePool,
         scratch: &mut EngineScratch,
         policy: &mut P,
         ii: u32,
-        mii: u32,
         meter: &mut FuelMeter,
-        per_placement: bool,
+        cutoff: Option<&AtomicU32>,
     ) -> Result<ModuloSchedule, AttemptError> {
+        let StepInputs {
+            graph,
+            ref pool,
+            mii,
+            per_placement,
+            ..
+        } = *inputs;
         let mut sched = ModuloSchedule::new(&graph.name, graph.n_nodes(), ii, mii);
         scratch.mrt.reset(ii);
         scratch.assignment.fill(None);
@@ -845,6 +1174,9 @@ impl<'m> IiSearchDriver<'m> {
         let mut register_failed = false;
 
         for &node in &ctx.order {
+            if cutoff.is_some_and(|c| ii > c.load(Ordering::Relaxed)) {
+                return Err(AttemptError::Abandoned);
+            }
             let mut view = EngineView {
                 graph,
                 ctx,
@@ -915,51 +1247,10 @@ impl<'m> IiSearchDriver<'m> {
         }
         Ok(sched)
     }
-
-    /// Build the diagnostics of a successful schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn diagnostics(
-        &self,
-        sched: &ModuloSchedule,
-        max_live_per_cluster: Vec<u32>,
-        res: u32,
-        rec: u32,
-        mii: u32,
-        bus_seen: bool,
-        register_seen: bool,
-        trajectory: Vec<IiStep>,
-        fuel: Option<FuelSpent>,
-    ) -> ScheduleDiagnostics {
-        let limiting = if sched.ii() == mii {
-            if rec >= res {
-                LimitingResource::Recurrence
-            } else {
-                LimitingResource::FunctionalUnits
-            }
-        } else if bus_seen {
-            LimitingResource::Bus
-        } else if register_seen {
-            LimitingResource::Registers
-        } else {
-            LimitingResource::FunctionalUnits
-        };
-        ScheduleDiagnostics {
-            ii: sched.ii(),
-            mii,
-            res_mii: res,
-            rec_mii: rec,
-            limiting,
-            ii_trajectory: trajectory,
-            n_comms: sched.comms().len(),
-            max_live_per_cluster,
-            fuel,
-            rung: None,
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vliw_arch::{BusConfig, ClusterConfig, LatencyModel, OpClass};
     use vliw_ddg::GraphBuilder;
@@ -1008,6 +1299,172 @@ mod tests {
             .flow_at("D", "A", 1)
             .build();
         (machine, g)
+    }
+
+    /// saxpy unrolled ×16 with its nodes dealt alternately to the two clusters of
+    /// a one-bus, 2-cycle-latency machine: the transfers saturate the bus, so the
+    /// II climbs well past MII and the failed steps cross the pipelining gate.
+    pub(crate) fn gated_loop() -> (MachineConfig, DepGraph, Vec<usize>) {
+        let machine = MachineConfig::two_cluster(1, 2);
+        let g = vliw_ddg::unroll(&saxpy(), 16);
+        let assignment = (0..g.n_nodes()).map(|i| i % 2).collect();
+        (machine, g, assignment)
+    }
+
+    #[test]
+    fn the_gated_loop_crosses_the_pipelining_gate() {
+        let (machine, g, assignment) = gated_loop();
+        let out = IiSearchDriver::new(&machine)
+            .with_fuel(FuelBudget::unlimited())
+            .schedule(&g, &mut FixedAssignmentPolicy::new(assignment))
+            .unwrap();
+        // A fixed assignment probes each node once per attempt, so a step costs
+        // at most two attempts of n probes: the gate falls at least two steps
+        // before the successful one.
+        let step_probes = 2 * g.n_nodes() as u64;
+        let probes = out.diagnostics.fuel.unwrap().probes;
+        assert!(
+            probes >= PIPELINE_GATE_PROBES + 2 * step_probes,
+            "{probes} probes"
+        );
+    }
+
+    #[test]
+    fn pipelined_searches_match_the_sequential_search() {
+        let (machine, g, assignment) = gated_loop();
+        let run = |threads: usize| {
+            let out = IiSearchDriver::new(&machine)
+                .with_threads(threads)
+                .schedule(&g, &mut FixedAssignmentPolicy::new(assignment.clone()));
+            serde_json::to_string(&out.unwrap()).unwrap()
+        };
+        let sequential = run(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), sequential, "{threads} threads");
+        }
+    }
+
+    /// Fails every attempt after probing every node, so the search runs to
+    /// `max_ii`.
+    #[derive(Clone)]
+    struct NeverPlaces;
+    impl ClusterPolicy for NeverPlaces {
+        fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
+            view.probe(node, 0);
+            None
+        }
+        fn fork(&self) -> Option<Box<dyn ClusterPolicy + Send>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    #[test]
+    fn a_pipelined_search_that_never_places_exhausts_max_ii_like_a_sequential_one() {
+        let (machine, g, _) = gated_loop();
+        let sequential = IiSearchDriver::new(&machine)
+            .with_threads(1)
+            .schedule(&g, &mut NeverPlaces)
+            .unwrap_err();
+        assert!(matches!(sequential, ScheduleError::MaxIiExceeded { .. }));
+        for threads in [2, 4] {
+            let pipelined = IiSearchDriver::new(&machine)
+                .with_threads(threads)
+                .schedule(&g, &mut NeverPlaces)
+                .unwrap_err();
+            assert_eq!(pipelined, sequential);
+        }
+    }
+
+    /// The log of `SlowAtTarget`'s `begin_ii` calls, as (forked, II), shared by the
+    /// original and its forks.
+    #[derive(Default)]
+    struct Rendezvous {
+        log: std::sync::Mutex<Vec<(bool, u32)>>,
+        changed: std::sync::Condvar,
+        forked: std::sync::atomic::AtomicBool,
+    }
+
+    impl Rendezvous {
+        /// Block until `done` holds for the log (or a generous timeout passes, after
+        /// which the test's assertions report what happened).
+        fn wait_until(&self, done: impl Fn(&[(bool, u32)]) -> bool) {
+            let log = self.log.lock().unwrap();
+            let timeout = std::time::Duration::from_secs(10);
+            drop(
+                self.changed
+                    .wait_timeout_while(log, timeout, |log| !done(log)),
+            );
+        }
+    }
+
+    /// Fails every II below `target` (on its last node) and schedules at and above
+    /// it.  Once forked, the original waits (at an II below `target`) until a fork
+    /// has begun `target`, and that fork waits until the original has begun an II
+    /// above it — so a helper succeeds below the calling thread's current step.
+    #[derive(Clone)]
+    struct SlowAtTarget {
+        inner: FixedAssignmentPolicy,
+        target: u32,
+        forked: bool,
+        shared: std::sync::Arc<Rendezvous>,
+    }
+    impl ClusterPolicy for SlowAtTarget {
+        fn begin_ii(&mut self, _: &DepGraph, _: &MachineConfig, ii: u32) {
+            let (r, target) = (&*self.shared, self.target);
+            r.log.lock().unwrap().push((self.forked, ii));
+            r.changed.notify_all();
+            if self.forked && ii == target {
+                r.wait_until(|log| log.iter().any(|&(forked, i)| !forked && i > target));
+            } else if !self.forked && ii < target && r.forked.load(Ordering::Relaxed) {
+                r.wait_until(|log| log.contains(&(true, target)));
+            }
+        }
+        fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
+            let placed = view.assignment().iter().flatten().count();
+            let last = placed + 1 == view.graph().n_nodes();
+            let trial = self.inner.select_placement(node, view);
+            trial.filter(|_| !last || view.ii() >= self.target)
+        }
+        fn fork(&self) -> Option<Box<dyn ClusterPolicy + Send>> {
+            self.shared.forked.store(true, Ordering::Relaxed);
+            Some(Box::new(Self {
+                forked: true,
+                ..self.clone()
+            }))
+        }
+    }
+
+    #[test]
+    fn a_helper_success_below_the_calling_threads_step_wins() {
+        let (machine, g, _) = gated_loop();
+        let target = vliw_ddg::mii(&g, &machine) + 40;
+        let run = |threads: usize| {
+            let shared = std::sync::Arc::<Rendezvous>::default();
+            let mut policy = SlowAtTarget {
+                inner: FixedAssignmentPolicy::new(vec![0; g.n_nodes()]),
+                target,
+                forked: false,
+                shared: std::sync::Arc::clone(&shared),
+            };
+            let out = IiSearchDriver::new(&machine)
+                .with_threads(threads)
+                .schedule(&g, &mut policy)
+                .unwrap();
+            let log = shared.log.lock().unwrap().clone();
+            (out, log)
+        };
+        let (sequential, _) = run(1);
+        assert_eq!(sequential.diagnostics.ii, target);
+        let (pipelined, log) = run(2);
+        assert!(
+            log.contains(&(true, target)),
+            "a helper ran the target II: {log:?}"
+        );
+        assert!(
+            log.iter().any(|&(forked, ii)| !forked && ii > target),
+            "the calling thread moved past the target II: {log:?}"
+        );
+        assert_eq!(pipelined, sequential);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!    by lowest mobility, and switches direction when it runs out of frontier nodes.
 
 use crate::schedule::ModuloSchedule;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use vliw_ddg::{recurrences, DepGraph, GraphAnalysis, NodeId};
 
 /// The node order of one II attempt plus the priority metrics it was built from
@@ -76,25 +77,24 @@ pub fn topological_order(
             indeg[e.dst.index()] += 1;
         }
     }
-    let mut ready: Vec<NodeId> = graph.node_ids().filter(|n| indeg[n.index()] == 0).collect();
+    // Lowest ASAP first (ties: highest height, then id) keeps the order close to a
+    // left-to-right sweep of the body.  The id makes every key unique, so the heap
+    // pops exactly the node a linear minimum scan of the ready set would pick.
+    let key = |node: NodeId| Reverse((analysis.asap(node), -analysis.height(node), node.0));
+    let mut ready: BinaryHeap<_> = graph
+        .node_ids()
+        .filter(|n| indeg[n.index()] == 0)
+        .map(key)
+        .collect();
     let mut order = Vec::with_capacity(n);
-    while !ready.is_empty() {
-        // Lowest ASAP first (ties: highest height, then id) keeps the order close to a
-        // left-to-right sweep of the body.
-        let Some((pos, _)) = ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &node)| (analysis.asap(node), -analysis.height(node), node.0))
-        else {
-            return Err("ready set emptied mid-selection".to_string());
-        };
-        let node = ready.swap_remove(pos);
+    while let Some(Reverse((_, _, id))) = ready.pop() {
+        let node = NodeId(id);
         order.push(node);
         for e in graph.out_edges(node) {
             if e.distance == 0 && e.src != e.dst {
                 indeg[e.dst.index()] -= 1;
                 if indeg[e.dst.index()] == 0 {
-                    ready.push(e.dst);
+                    ready.push(key(e.dst));
                 }
             }
         }
@@ -372,6 +372,97 @@ mod tests {
             .flow("ly", "add")
             .flow("add", "st")
             .build()
+    }
+
+    /// The linear minimum scan over the ready set that `topological_order`'s heap
+    /// replaced, kept as its oracle.
+    fn topological_order_by_scan(graph: &DepGraph, analysis: &GraphAnalysis) -> Vec<NodeId> {
+        let n = graph.n_nodes();
+        let mut indeg = vec![0usize; n];
+        for e in graph.edges() {
+            if e.distance == 0 && e.src != e.dst {
+                indeg[e.dst.index()] += 1;
+            }
+        }
+        let mut ready: Vec<NodeId> = graph.node_ids().filter(|n| indeg[n.index()] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some((pos, _)) = ready
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &node)| (analysis.asap(node), -analysis.height(node), node.0))
+        {
+            let node = ready.swap_remove(pos);
+            order.push(node);
+            for e in graph.out_edges(node) {
+                if e.distance == 0 && e.src != e.dst {
+                    indeg[e.dst.index()] -= 1;
+                    if indeg[e.dst.index()] == 0 {
+                        ready.push(e.dst);
+                    }
+                }
+            }
+        }
+        order
+    }
+
+    /// A random loop body: zero-distance edges only go from lower to higher ids
+    /// (so the body is schedulable), plus a few loop-carried edges anywhere.
+    fn random_body(n_nodes: usize, seed: u64) -> DepGraph {
+        const CLASSES: [OpClass; 6] = [
+            OpClass::IntAlu,
+            OpClass::Load,
+            OpClass::Store,
+            OpClass::FpAdd,
+            OpClass::FpMul,
+            OpClass::FpDiv,
+        ];
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize
+        };
+        let mut g = DepGraph::new("random");
+        let ids: Vec<_> = (0..n_nodes)
+            .map(|_| g.add_node(CLASSES[next() % CLASSES.len()]))
+            .collect();
+        for i in 1..n_nodes {
+            for _ in 0..next() % 3 {
+                let p = next() % i;
+                g.add_edge(ids[p], ids[i], 1 + (next() % 4) as u32, 0, DepKind::Flow);
+            }
+        }
+        for _ in 0..next() % 4 {
+            let (a, b) = (next() % n_nodes, next() % n_nodes);
+            g.add_edge(
+                ids[a],
+                ids[b],
+                1 + (next() % 3) as u32,
+                1 + (next() % 2) as u32,
+                DepKind::Flow,
+            );
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        // The heap pops the same node as the minimum scan at every step: the
+        // keys `(asap, −height, id)` are unique.
+        #[test]
+        fn topological_order_matches_the_minimum_scan(
+            n_nodes in 1usize..40,
+            seed in proptest::prelude::any::<u64>(),
+            slack in 0u32..4,
+        ) {
+            let g = random_body(n_nodes, seed);
+            let ii = vliw_ddg::rec_mii(&g).max(1) + slack;
+            let analysis = GraphAnalysis::new(&g, ii);
+            let order = topological_order(&g, &analysis).unwrap();
+            proptest::prop_assert_eq!(order, topological_order_by_scan(&g, &analysis));
+        }
     }
 
     #[test]

@@ -676,6 +676,28 @@ mod tests {
         assert_eq!(tracker.max_live(), out.diagnostics.max_live_per_cluster);
     }
 
+    /// `Recording` does not fork, so past the pipelining gate the search stays
+    /// sequential: the schedule and the recorded order of the last attempt are
+    /// the same at any thread count.
+    #[test]
+    fn a_policy_that_does_not_fork_gets_identical_results() {
+        let (machine, g, assignment) = crate::engine::tests::gated_loop();
+        let run = |threads: usize| {
+            let mut policy = Recording {
+                inner: FixedAssignmentPolicy::new(assignment.clone()),
+                order: Vec::new(),
+            };
+            let out = IiSearchDriver::new(&machine)
+                .with_threads(threads)
+                .schedule(&g, &mut policy)
+                .unwrap();
+            (out, policy.order)
+        };
+        let sequential = run(1);
+        assert!(sequential.0.diagnostics.ii_trajectory.len() > 2);
+        assert_eq!(run(4), sequential);
+    }
+
     /// A register file too large for `u32` (still a valid machine) must never
     /// report an overflow: the count saturates instead of wrapping to zero.
     #[test]
