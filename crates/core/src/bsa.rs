@@ -172,7 +172,8 @@ impl ClusterPolicy for BsaPolicy {
 
         // (6)-(9) Choose among the candidates (all with the best profit): a single
         // candidate wins outright; then one already holding a neighbour of the
-        // node; then the default cluster; finally the lowest register pressure.
+        // node; then the default cluster; finally the lowest register pressure,
+        // which the engine computes only for the candidates that get this far.
         let chosen_idx = if n_best == 1 {
             self.trials.iter().position(is_best).expect("n_best == 1")
         } else if let Some(i) = self.trials.iter().position(|t| {
@@ -191,7 +192,7 @@ impl ClusterPolicy for BsaPolicy {
                 .iter()
                 .enumerate()
                 .filter(|(_, t)| is_best(t))
-                .min_by_key(|(_, t)| (t.trial.max_live, t.trial.cluster))
+                .min_by_key(|(_, t)| (view.max_live(&t.trial), t.trial.cluster))
                 .expect("candidates non-empty")
                 .0
         };
@@ -588,6 +589,104 @@ mod tests {
         let r = relaxed.schedule(&g).unwrap();
         let s = strict.schedule(&g).unwrap();
         assert!(s.ii() >= r.ii());
+    }
+
+    /// What the target node's placement looked like in the last attempt: per
+    /// feasible cluster its profit, whether it holds a neighbour and its
+    /// `MaxLive`, plus the default cluster and the cluster BSA chose.
+    #[derive(Debug, Default)]
+    struct Decision {
+        feasible: Vec<(usize, i64, bool, u32)>,
+        defcluster: usize,
+        chosen: usize,
+    }
+
+    /// Runs [`BsaPolicy`] and, for `target`, re-probes every cluster after BSA
+    /// decided (probes leave no trace) to record what step 9 saw.
+    struct Step9Spy {
+        inner: BsaPolicy,
+        target: NodeId,
+        decision: Option<Decision>,
+    }
+
+    impl ClusterPolicy for Step9Spy {
+        fn begin_attempt(&mut self, graph: &DepGraph, machine: &MachineConfig, ii: u32) {
+            self.decision = None;
+            self.inner.begin_attempt(graph, machine, ii);
+        }
+
+        fn select_placement(&mut self, node: NodeId, view: &mut EngineView<'_>) -> Option<Trial> {
+            let trial = self.inner.select_placement(node, view)?;
+            if node == self.target {
+                let (graph, assignment) = (view.graph(), view.assignment());
+                let feasible = (0..view.machine().n_clusters)
+                    .filter_map(|c| {
+                        let t = view.probe(node, c).trial?;
+                        let profit = profit_of(graph, assignment, node, c);
+                        let neighbour = cluster_holds_neighbour(graph, assignment, node, c);
+                        Some((c, profit, neighbour, view.max_live(&t)))
+                    })
+                    .collect();
+                self.decision = Some(Decision {
+                    feasible,
+                    defcluster: self.inner.defcluster,
+                    chosen: trial.cluster,
+                });
+            }
+            Some(trial)
+        }
+    }
+
+    /// Figure 5's last tie-break decides: `p` feeds `x`, which BSA put on cluster
+    /// 1 (the default cluster of their subgraph), and at II 1 cluster 1 has no
+    /// integer unit left for `p`.  Clusters 0 and 2 tie on profit, neither holds
+    /// a neighbour of `p` and neither is the default cluster, so the lower
+    /// `MaxLive` wins: cluster 2, although cluster order alone would pick the
+    /// cluster 0 that already holds the load's long-lived value.
+    #[test]
+    fn the_lower_register_requirement_breaks_the_last_tie() {
+        let machine = MachineConfig::new(
+            "step9",
+            3,
+            ClusterConfig::new(1, 1, 1, 32),
+            BusConfig::new(1, 1),
+            LatencyModel::table1(),
+        );
+        let g = GraphBuilder::new("step9")
+            .node("ld", OpClass::Load)
+            .node("add", OpClass::FpAdd)
+            .node("p", OpClass::IntAlu)
+            .node("x", OpClass::IntAlu)
+            .flow("ld", "add")
+            .flow("p", "x")
+            .build();
+        let mut spy = Step9Spy {
+            inner: BsaPolicy::new(),
+            target: NodeId(2),
+            decision: None,
+        };
+        let out = vliw_sms::IiSearchDriver::new(&machine)
+            .schedule(&g, &mut spy)
+            .unwrap();
+        assert_eq!(out.schedule.ii(), 1);
+        assert_eq!(out.schedule.cluster_of(NodeId(0)), Some(0));
+        assert_eq!(out.schedule.cluster_of(NodeId(3)), Some(1));
+        let d = spy.decision.expect("p was placed");
+        let best = d.feasible.iter().map(|f| f.1).max().unwrap();
+        let tied: Vec<_> = d.feasible.iter().filter(|f| f.1 == best).collect();
+        assert_eq!(
+            tied.iter().map(|f| f.0).collect::<Vec<_>>(),
+            [0, 2],
+            "{d:?}"
+        );
+        assert!(
+            tied.iter().all(|f| !f.2),
+            "a tied cluster holds a neighbour: {d:?}"
+        );
+        assert!(tied.iter().all(|f| f.0 != d.defcluster), "{d:?}");
+        assert!(tied[1].3 < tied[0].3, "{d:?}");
+        assert_eq!(d.chosen, 2, "{d:?}");
+        assert_eq!(out.schedule.cluster_of(NodeId(2)), Some(2));
     }
 
     #[test]

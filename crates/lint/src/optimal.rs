@@ -9,7 +9,7 @@
 //! ([`vliw_sms::required_comms`], assigned to bus slots exhaustively), the
 //! dependence windows ([`vliw_sms::early_start`] / [`vliw_sms::late_start`]) and
 //! the incremental register-pressure check ([`vliw_sms::PressureTracker`],
-//! committed per placement and re-committed after each backtrack) — so the
+//! committed per placement and reverted from its undo log on each backtrack) — so the
 //! solver and the engine can never disagree about what a feasible placement is.
 //!
 //! ## Verdict soundness
@@ -565,7 +565,7 @@ impl<'a> Dfs<'a> {
                 cluster,
                 fu,
             });
-            self.pressure.commit(self.graph, &self.sched, node);
+            self.pressure.commit_undoable(self.graph, &self.sched, node);
             debug_assert_eq!(
                 self.pressure.max_live(),
                 PressureTracker::of_schedule(self.graph, &self.sched, self.machine).max_live(),
@@ -590,10 +590,9 @@ impl<'a> Dfs<'a> {
                 Search::Exhausted { .. } => {}
             }
             self.sched.rollback(cp);
-            // Re-committing `node` on the rolled-back schedule drops its ranges
-            // and restores its predecessors': exactly the state before the
-            // placement.
-            self.pressure.commit(self.graph, &self.sched, node);
+            // The undo log restores the ranges the commit replaced: exactly the
+            // state before the placement, with no range recomputed.
+            self.pressure.undo();
             return Search::Exhausted {
                 clean: !self.unclean,
             };

@@ -254,6 +254,12 @@ impl ProbeComms {
         }
     }
 
+    /// Whether the probe needs no transfer at any cycle: the node has no placed
+    /// value neighbour on another cluster.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.templates.is_empty()
+    }
+
     /// Materialize the requests of this probe at `cycle` — [`required_comms`] output
     /// minus the requests a committed transfer already covers — into a reused buffer.
     pub(crate) fn requests_at(&mut self, cycle: i64) -> &[CommRequest] {

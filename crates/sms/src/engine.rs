@@ -43,9 +43,9 @@ use crate::comm::{allocate_uncovered_comms, CommAllocation, ProbeComms};
 use crate::fuel::{FuelBudget, FuelMeter, FuelSpent, FuelStop};
 use crate::max_ii;
 use crate::mrt::ModuloReservationTable;
-use crate::ordering::{self, OrderingContext};
+use crate::ordering::{self, NodeOrders};
 use crate::pressure::PressureTracker;
-use crate::schedule::{CommPlacement, ModuloSchedule, PlacedOp, ScheduleError};
+use crate::schedule::{CommPlacement, ModuloSchedule, PlacedOp, ScheduleCheckpoint, ScheduleError};
 use crate::slots::{early_start, late_start, SlotScan};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -57,6 +57,11 @@ use vliw_ddg::{missing_fu_kind, rec_mii, res_mii, DepGraph, GraphAnalysis, NodeI
 
 /// A fully evaluated candidate placement of one node on one cluster, produced by
 /// [`EngineView::probe`] and committed by the driver when the policy selects it.
+///
+/// A trial is feasible on every count — functional unit, buses and register files
+/// — but carries no register-pressure figure: the probe checks that the register
+/// files fit and computes no `MaxLive`.  A policy that ranks candidates by
+/// pressure asks [`EngineView::max_live`] for the trials it compares.
 #[derive(Debug, Clone)]
 pub struct Trial {
     /// The node being placed.
@@ -69,9 +74,6 @@ pub struct Trial {
     pub fu: ResourceIndex,
     /// The bus transfers this placement needs (already proven allocatable).
     pub comms: Vec<CommPlacement>,
-    /// Register pressure of the candidate cluster after the placement (0 when the
-    /// register check is deferred to the whole schedule).
-    pub max_live: u32,
 }
 
 /// What [`EngineView::probe`] learned about one (node, cluster) combination.
@@ -98,12 +100,14 @@ pub struct Probe {
 /// [`ClusterPolicy::select_placement`].
 ///
 /// The view exposes read access to the partial schedule and the bookkeeping a policy
-/// needs (the node order, the per-node cluster assignment so far), plus the
-/// [`EngineView::probe`] primitive that evaluates a candidate placement without
-/// mutating any observable state.
+/// needs (the per-node cluster assignment so far), plus two queries that leave
+/// every observable state as they found it: the [`EngineView::probe`] primitive
+/// that evaluates a candidate placement, and [`EngineView::max_live`], the
+/// register pressure of a probed candidate, which a probe does not compute.
 pub struct EngineView<'a> {
     graph: &'a DepGraph,
-    ctx: &'a OrderingContext,
+    /// The graph analysis of the current II (the ASAP default start).
+    analysis: &'a GraphAnalysis,
     machine: &'a MachineConfig,
     pool: &'a ResourcePool,
     sched: &'a mut ModuloSchedule,
@@ -150,7 +154,7 @@ impl<'a> EngineView<'a> {
     /// Whether `node` starts a new connected subgraph in the order (no direct
     /// neighbour already scheduled) — the trigger for BSA's default-cluster rotation.
     pub fn starts_new_subgraph(&self, node: NodeId) -> bool {
-        self.ctx.starts_new_subgraph(self.graph, self.sched, node)
+        ordering::starts_new_subgraph(self.graph, self.sched, node)
     }
 
     /// Record that the current node failed (at least partly) because the buses were
@@ -172,6 +176,9 @@ impl<'a> EngineView<'a> {
     /// checkpoint/rollback transaction, never by cloning the schedule.  A `cluster`
     /// outside the machine is infeasible, and the driver fails the search with
     /// [`ScheduleError::RoguePolicy`].
+    ///
+    /// A probe answers feasibility only: the `MaxLive` of a candidate is computed
+    /// on request by [`EngineView::max_live`].
     pub fn probe(&mut self, node: NodeId, cluster: usize) -> Probe {
         // Rogue clusters are refused before any table row is indexed.  Fuel gate:
         // past the probe budget every probe reports infeasible, which fails the
@@ -196,7 +203,8 @@ impl<'a> EngineView<'a> {
         let mut comm_probe = std::mem::take(self.comm_scratch);
         comm_probe.collect(self.graph, self.sched, node, cluster);
         // Likewise the register-pressure affected set is fixed for the whole
-        // probe — collect it once instead of once per scanned cycle.
+        // probe, and for the probes of the node's other clusters — the tracker
+        // collects it once instead of once per scanned cycle.
         if self.per_placement_registers {
             self.tracker.prepare_probe(self.graph, self.sched, node);
         }
@@ -211,7 +219,7 @@ impl<'a> EngineView<'a> {
         let kind = self.graph.node(node).class.fu_kind();
         let early = early_start(self.graph, self.sched, node, self.ii, cluster, bus_latency);
         let late = late_start(self.graph, self.sched, node, self.ii, cluster, bus_latency);
-        let default_start = self.ctx.analysis.asap(node);
+        let default_start = self.analysis.asap(node);
         let scan = SlotScan::new(early, late, self.ii, default_start);
 
         let mut saw_bus_block = false;
@@ -219,111 +227,156 @@ impl<'a> EngineView<'a> {
             let Some(fu) = self.mrt.find_free(self.pool.fus(cluster, kind), cycle) else {
                 continue;
             };
-            // Tentatively reserve the FU so the bus allocator sees a consistent
-            // table; everything reserved in this probe is rolled back before
-            // returning.
-            let fu_reservation = self.mrt.reserve(fu, cycle);
-            let requests = comm_probe.requests_at(cycle);
-            #[cfg(debug_assertions)]
-            {
-                // The affine materialization must equal the from-scratch derivation
-                // minus the requests a committed transfer covers.
-                let reference: Vec<_> =
+            let comms = if comm_probe.is_empty() {
+                // No placed value neighbour on another cluster: the placement needs
+                // no transfer at any cycle, so the bus allocator is skipped.
+                debug_assert!(
                     crate::comm::required_comms(self.graph, self.sched, node, cluster, cycle)
-                        .into_iter()
-                        .filter(|r| {
-                            !self.sched.comms().iter().any(|c| {
-                                c.src_node == r.src_node
-                                    && c.to_cluster == r.to_cluster
-                                    && c.start_cycle >= r.ready
-                                    && c.start_cycle + c.duration as i64 <= r.deadline
-                            })
-                        })
-                        .collect();
-                debug_assert_eq!(
-                    requests,
-                    &reference[..],
-                    "ProbeComms diverged from required_comms placing {node} on \
-                     cluster {cluster} at cycle {cycle}"
+                        .is_empty(),
+                    "ProbeComms found no transfer placing {node} on cluster {cluster} at \
+                     cycle {cycle}, required_comms did"
                 );
-            }
-            match allocate_uncovered_comms(requests, self.pool, self.mrt, machine) {
-                CommAllocation::Satisfied(comms) => {
-                    // Register-pressure check on the schedule itself: apply the
-                    // trial, measure lifetimes, roll back to the checkpoint.
-                    let (fits, max_live) = if self.per_placement_registers {
-                        let cp = self.sched.checkpoint();
-                        for c in &comms {
-                            self.sched.add_comm(*c);
-                        }
-                        self.sched.place(PlacedOp {
-                            node,
-                            cycle,
-                            cluster,
-                            fu,
-                        });
-                        let (fits, max_live) =
-                            self.tracker.evaluate(self.graph, self.sched, node, cluster);
-                        #[cfg(debug_assertions)]
-                        {
-                            let full =
-                                PressureTracker::of_schedule(self.graph, self.sched, machine);
-                            debug_assert_eq!(
-                                (fits, max_live),
-                                (full.fits(), full.max_live()[cluster]),
-                                "incremental pressure diverged from the from-scratch fold \
-                                 placing {node} on cluster {cluster} at cycle {cycle}"
-                            );
-                        }
-                        self.sched.rollback(cp);
-                        (fits, max_live)
-                    } else {
-                        (true, 0)
-                    };
-                    // Release the tentative reservations: the driver re-applies the
-                    // chosen trial once the policy has decided.
-                    for c in &comms {
-                        self.mrt.unreserve_for(c.bus, c.start_cycle, c.duration);
+                Vec::new()
+            } else {
+                // Tentatively reserve the FU so the bus allocator sees a consistent
+                // table; the bus reservations of a satisfied allocation are released
+                // once the register check is done.
+                let fu_reservation = self.mrt.reserve(fu, cycle);
+                let requests = comm_probe.requests_at(cycle);
+                #[cfg(debug_assertions)]
+                {
+                    // The affine materialization must equal the from-scratch
+                    // derivation minus the requests a committed transfer covers.
+                    let reference: Vec<_> =
+                        crate::comm::required_comms(self.graph, self.sched, node, cluster, cycle)
+                            .into_iter()
+                            .filter(|r| {
+                                !self.sched.comms().iter().any(|c| {
+                                    c.src_node == r.src_node
+                                        && c.to_cluster == r.to_cluster
+                                        && c.start_cycle >= r.ready
+                                        && c.start_cycle + c.duration as i64 <= r.deadline
+                                })
+                            })
+                            .collect();
+                    debug_assert_eq!(
+                        requests,
+                        &reference[..],
+                        "ProbeComms diverged from required_comms placing {node} on \
+                         cluster {cluster} at cycle {cycle}"
+                    );
+                }
+                let allocation = allocate_uncovered_comms(requests, self.pool, self.mrt, machine);
+                self.mrt.release(fu_reservation);
+                match allocation {
+                    CommAllocation::Satisfied(comms) => comms,
+                    CommAllocation::BusUnavailable => {
+                        saw_bus_block = true;
+                        continue;
                     }
-                    self.mrt.release(fu_reservation);
-                    if !fits {
-                        // The register file would overflow at this cycle; later
-                        // cycles (longer lifetimes) will not help, so this cluster
-                        // is out.
-                        self.register_failed = true;
-                        return Probe {
-                            trial: None,
-                            saw_bus_block,
-                            register_blocked: true,
-                        };
-                    }
-                    return Probe {
-                        trial: Some(Trial {
-                            node,
-                            cluster,
-                            cycle,
-                            fu,
-                            comms,
-                            max_live,
-                        }),
-                        saw_bus_block,
-                        register_blocked: false,
-                    };
+                    CommAllocation::WindowTooSmall => continue,
                 }
-                CommAllocation::BusUnavailable => {
-                    saw_bus_block = true;
-                    self.mrt.release(fu_reservation);
-                }
-                CommAllocation::WindowTooSmall => {
-                    self.mrt.release(fu_reservation);
-                }
+            };
+            // Register-pressure check on the schedule itself: apply the trial,
+            // evaluate, roll back to the checkpoint.
+            let fits = !self.per_placement_registers || {
+                let cp = self.apply(node, cluster, cycle, fu, &comms);
+                let fits = self.tracker.evaluate(self.graph, self.sched, node);
+                debug_assert_eq!(
+                    fits,
+                    PressureTracker::of_schedule(self.graph, self.sched, machine).fits(),
+                    "incremental pressure diverged from the from-scratch fold placing \
+                     {node} on cluster {cluster} at cycle {cycle}"
+                );
+                self.sched.rollback(cp);
+                fits
+            };
+            // Release the tentative bus reservations: the driver re-applies the
+            // chosen trial once the policy has decided.
+            for c in &comms {
+                self.mrt.unreserve_for(c.bus, c.start_cycle, c.duration);
             }
+            if !fits {
+                // The register file would overflow at this cycle; later cycles
+                // (longer lifetimes) will not help, so this cluster is out.
+                self.register_failed = true;
+                return Probe {
+                    trial: None,
+                    saw_bus_block,
+                    register_blocked: true,
+                };
+            }
+            return Probe {
+                trial: Some(Trial {
+                    node,
+                    cluster,
+                    cycle,
+                    fu,
+                    comms,
+                }),
+                saw_bus_block,
+                register_blocked: false,
+            };
         }
         Probe {
             trial: None,
             saw_bus_block,
             register_blocked: false,
         }
+    }
+
+    /// Apply a tentative placement and its transfers to the schedule; the caller
+    /// rolls back to the returned checkpoint.
+    fn apply(
+        &mut self,
+        node: NodeId,
+        cluster: usize,
+        cycle: i64,
+        fu: ResourceIndex,
+        comms: &[CommPlacement],
+    ) -> ScheduleCheckpoint {
+        let cp = self.sched.checkpoint();
+        for c in comms {
+            self.sched.add_comm(*c);
+        }
+        self.sched.place(PlacedOp {
+            node,
+            cycle,
+            cluster,
+            fu,
+        });
+        cp
+    }
+
+    /// `MaxLive` of `trial`'s cluster with `trial` applied — the register
+    /// requirement Figure 5's last tie-break (step 9) compares.  Computed on
+    /// request, since so few candidates reach that step: apply the trial to the
+    /// schedule, evaluate, roll back.  `trial` must be a [`EngineView::probe`]
+    /// result for the node being placed.  Reads 0 when the register check is
+    /// deferred to the whole schedule ([`IiSearchDriver::schedule_unified`]).
+    pub fn max_live(&mut self, trial: &Trial) -> u32 {
+        if !self.per_placement_registers {
+            return 0;
+        }
+        let Trial {
+            node,
+            cluster,
+            cycle,
+            fu,
+            ref comms,
+        } = *trial;
+        let cp = self.apply(node, cluster, cycle, fu, comms);
+        let max_live = self
+            .tracker
+            .trial_max_live(self.graph, self.sched, node, cluster);
+        debug_assert_eq!(
+            max_live,
+            PressureTracker::of_schedule(self.graph, self.sched, self.machine).max_live()[cluster],
+            "incremental MaxLive diverged from the from-scratch fold placing {node} on \
+             cluster {cluster} at cycle {cycle}"
+        );
+        self.sched.rollback(cp);
+        max_live
     }
 }
 
@@ -552,16 +605,16 @@ enum StepOutcome {
     Stopped,
 }
 
-/// Reusable buffers for the II search: the reservation table survives `reset`, and
-/// the per-node assignment keeps its allocation across retries, so one
-/// [`IiSearchDriver::schedule`] call performs a fixed number of engine-side
-/// allocations regardless of how many IIs it explores (one set per thread on the
-/// pipelined path).
+/// Reusable state of the II search: the reservation table survives `reset`, the
+/// per-node assignment keeps its allocation across retries, and the node orders
+/// of the last step are reused while the graph analysis stays the same (one set
+/// per thread on the pipelined path).
 struct EngineScratch {
     mrt: ModuloReservationTable,
     assignment: Vec<Option<usize>>,
     tracker: PressureTracker,
     comm_scratch: ProbeComms,
+    orders: NodeOrders,
 }
 
 impl EngineScratch {
@@ -571,6 +624,7 @@ impl EngineScratch {
             assignment: vec![None; inputs.graph.n_nodes()],
             tracker: PressureTracker::new(),
             comm_scratch: ProbeComms::default(),
+            orders: NodeOrders::default(),
         }
     }
 }
@@ -708,11 +762,22 @@ impl Drop for StopHelpers<'_> {
 /// # Incremental II search
 ///
 /// The search reuses work across II retries and placements wherever the result is
-/// provably unchanged: the SMS node-set partition is computed once per loop (it
-/// depends only on graph structure), the per-II graph analysis is shared between
-/// the SMS ordering and its topological fallback (which is built only when the SMS
-/// attempt actually fails), and the per-placement register check is answered by an
-/// incremental [`PressureTracker`] instead of rebuilding every lifetime per probe.
+/// provably unchanged:
+///
+/// * the SMS node-set partition is computed once per loop (it depends only on
+///   graph structure);
+/// * the per-II graph analysis is shared between the SMS ordering and its
+///   topological fallback (built only when an SMS attempt actually fails), and
+///   both orders are reused from the previous step while the analysis's ASAP,
+///   ALAP and critical path stay the same — which, as II grows, they soon do
+///   (ASAP never rises with II and is bounded below by the distance-0 analysis);
+/// * the per-placement register check is answered by an incremental
+///   [`PressureTracker`] that moves only the affected producers' rows, by row
+///   deltas, instead of rebuilding every lifetime per probe;
+/// * a probe answers `fits` only: a candidate's `MaxLive` is computed on request
+///   ([`EngineView::max_live`]) by the one tie-break that reads it;
+/// * a probe with no transfer to make (no placed value neighbour on another
+///   cluster) skips the bus allocator.
 ///
 /// # Pipelined II search
 ///
@@ -733,7 +798,8 @@ impl Drop for StopHelpers<'_> {
 /// [`ScheduleDiagnostics`] (including the II trajectory) and fuel receipts are those
 /// of the from-scratch sequential search, at every thread count.  Debug builds
 /// cross-check every incremental pressure answer against the tracker's from-scratch
-/// fold ([`PressureTracker::of_schedule`]);
+/// fold ([`PressureTracker::of_schedule`]) and every reused node order against a
+/// fresh one;
 /// `crates/verify/tests/incremental_equiv.rs` certifies the schedules of all five
 /// policies on random machines against the independent `vliw_lint` analyses; and
 /// `tests/pipelined_search.rs` requires byte-identical schedules of all five
@@ -1025,15 +1091,14 @@ impl<'m> IiSearchDriver<'m> {
         // The SMS order gives the best schedules; the topological fallback
         // guarantees progress on graphs where the SMS order sandwiches a node
         // between already-placed predecessors and successors.  Both orderings
-        // share one graph analysis per II, and the fallback order is built only
-        // if the SMS attempt actually fails (`graph.validate()` already ruled
-        // out the zero-distance cycles that could make it error).
+        // share one graph analysis per II and are reused from the previous step
+        // while that analysis does not change; the fallback order is built only
+        // if an SMS attempt actually fails (`graph.validate()` already ruled out
+        // the zero-distance cycles that could make it error).
         let analysis = GraphAnalysis::new(graph, ii);
-        let order = match ordering::order_nodes_with(graph, &analysis, &inputs.node_sets) {
-            Ok(order) => order,
-            Err(e) => return StepOutcome::Fatal(ScheduleError::DegenerateGraph(e)),
-        };
-        let mut ctx = OrderingContext { analysis, order };
+        if let Err(e) = scratch.orders.refresh(graph, &inputs.node_sets, analysis) {
+            return StepOutcome::Fatal(ScheduleError::DegenerateGraph(e));
+        }
         let mut step = IiStep {
             ii,
             orders_tried: 0,
@@ -1045,7 +1110,8 @@ impl<'m> IiSearchDriver<'m> {
                 return StepOutcome::Stopped;
             }
             policy.begin_attempt(graph, self.machine, ii);
-            match self.try_schedule(inputs, &ctx, scratch, policy, ii, meter, cutoff) {
+            let fallback = pass == 1;
+            match self.try_schedule(inputs, fallback, scratch, policy, ii, meter, cutoff) {
                 Ok(mut sched) => {
                     // Normalizing shifts every cycle by a multiple of II, so the
                     // committed pressure rows describe the final schedule too.
@@ -1070,11 +1136,10 @@ impl<'m> IiSearchDriver<'m> {
                     if meter.stopped().is_some() {
                         return StepOutcome::Stopped;
                     }
-                    if pass == 0 {
-                        ctx.order = match ordering::topological_order(graph, &ctx.analysis) {
-                            Ok(order) => order,
-                            Err(e) => return StepOutcome::Fatal(ScheduleError::DegenerateGraph(e)),
-                        };
+                    if !fallback {
+                        if let Err(e) = scratch.orders.build_topological(graph) {
+                            return StepOutcome::Fatal(ScheduleError::DegenerateGraph(e));
+                        }
                     }
                 }
             }
@@ -1141,12 +1206,13 @@ impl<'m> IiSearchDriver<'m> {
         Ok(())
     }
 
-    /// One scheduling attempt at a fixed II with a given node order.
+    /// One scheduling attempt at a fixed II with the SMS order, or with the
+    /// topological order when `fallback`.
     #[allow(clippy::too_many_arguments)]
     fn try_schedule<P: ClusterPolicy + ?Sized>(
         &self,
         inputs: &StepInputs<'_>,
-        ctx: &OrderingContext,
+        fallback: bool,
         scratch: &mut EngineScratch,
         policy: &mut P,
         ii: u32,
@@ -1169,17 +1235,24 @@ impl<'m> IiSearchDriver<'m> {
             assignment,
             tracker,
             comm_scratch,
+            orders,
         } = scratch;
+        let analysis = orders.analysis();
+        let order = if fallback {
+            orders.topological()
+        } else {
+            orders.sms()
+        };
         let mut bus_failed = false;
         let mut register_failed = false;
 
-        for &node in &ctx.order {
+        for &node in order {
             if cutoff.is_some_and(|c| ii > c.load(Ordering::Relaxed)) {
                 return Err(AttemptError::Abandoned);
             }
             let mut view = EngineView {
                 graph,
-                ctx,
+                analysis,
                 machine: self.machine,
                 pool,
                 sched: &mut sched,

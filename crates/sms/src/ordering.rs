@@ -22,34 +22,104 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use vliw_ddg::{recurrences, DepGraph, GraphAnalysis, NodeId};
 
-/// The node order of one II attempt plus the priority metrics it was built from
-/// (the engine's ASAP default start reads them).
-#[derive(Debug, Clone)]
-pub(crate) struct OrderingContext {
-    /// Priority metrics (ASAP/ALAP/mobility/…) at the candidate II.
-    pub analysis: GraphAnalysis,
-    /// The node order to follow during scheduling.
-    pub order: Vec<NodeId>,
+/// The node orders of an II step plus the graph analysis they were built from
+/// (the engine's ASAP default start reads it), kept across the steps of one II
+/// search.
+///
+/// Both orders are pure functions of the graph, its SMS node sets and the ASAP,
+/// ALAP and critical-path values of the analysis, so a step whose analysis
+/// matches the cached one reuses them.  ASAP values never rise as the II grows
+/// (every loop-carried edge weight `latency − II·distance` falls) and are bounded
+/// below by the distance-0 analysis, so once no loop-carried edge binds the
+/// analysis stops changing and every further step of a long failing search hits.
+#[derive(Debug, Default)]
+pub(crate) struct NodeOrders {
+    /// The analysis of the current step (`None` until the first refresh, and
+    /// after a refresh that failed).
+    analysis: Option<GraphAnalysis>,
+    sms: Vec<NodeId>,
+    /// The topological fallback, built when an SMS attempt first fails.
+    topological: Option<Vec<NodeId>>,
 }
 
-impl OrderingContext {
-    /// Whether `node` starts a new connected subgraph in the order, i.e. none of its
-    /// direct neighbours appears earlier in the order.  The paper's BSA uses this to
-    /// rotate the default cluster (Figure 5, step 2).
-    pub fn starts_new_subgraph(
-        &self,
+impl NodeOrders {
+    /// Make these the orders of `analysis` (moved in): keep the cached orders when
+    /// its ASAP, ALAP and critical path equal the cached analysis's, else rebuild
+    /// the SMS order and drop the fallback.  Debug builds cross-check every reused
+    /// order against a fresh one.
+    pub fn refresh(
+        &mut self,
         graph: &DepGraph,
-        sched: &ModuloSchedule,
-        node: NodeId,
-    ) -> bool {
-        let has_sched_pred = graph
-            .predecessors(node)
-            .any(|p| p != node && sched.placement(p).is_some());
-        let has_sched_succ = graph
-            .successors(node)
-            .any(|s| s != node && sched.placement(s).is_some());
-        !has_sched_pred && !has_sched_succ
+        sets: &[Vec<NodeId>],
+        analysis: GraphAnalysis,
+    ) -> Result<(), String> {
+        let same = self.analysis.as_ref().is_some_and(|a| {
+            a.critical_path == analysis.critical_path
+                && a.asap == analysis.asap
+                && a.alap == analysis.alap
+        });
+        if same {
+            debug_assert_eq!(
+                order_nodes_with(graph, &analysis, sets).as_ref(),
+                Ok(&self.sms),
+                "reused SMS order diverged at II {}",
+                analysis.ii
+            );
+            debug_assert!(
+                self.topological.as_ref().is_none_or(|topo| {
+                    topological_order(graph, &analysis).as_ref() == Ok(topo)
+                }),
+                "reused topological order diverged at II {}",
+                analysis.ii
+            );
+        } else {
+            self.analysis = None;
+            self.sms = order_nodes_with(graph, &analysis, sets)?;
+            self.topological = None;
+        }
+        self.analysis = Some(analysis);
+        Ok(())
     }
+
+    /// The analysis of the current step.
+    pub fn analysis(&self) -> &GraphAnalysis {
+        self.analysis
+            .as_ref()
+            .expect("node orders are refreshed before use")
+    }
+
+    /// The SMS order of the current step.
+    pub fn sms(&self) -> &[NodeId] {
+        &self.sms
+    }
+
+    /// Build the topological fallback of the current step unless it is cached.
+    pub fn build_topological(&mut self, graph: &DepGraph) -> Result<(), String> {
+        if self.topological.is_none() {
+            self.topological = Some(topological_order(graph, self.analysis())?);
+        }
+        Ok(())
+    }
+
+    /// The topological fallback of the current step, once built.
+    pub fn topological(&self) -> &[NodeId] {
+        self.topological
+            .as_deref()
+            .expect("the fallback order is built before use")
+    }
+}
+
+/// Whether `node` starts a new connected subgraph in the order, i.e. none of its
+/// direct neighbours is scheduled yet.  The paper's BSA uses this to rotate the
+/// default cluster (Figure 5, step 2).
+pub(crate) fn starts_new_subgraph(graph: &DepGraph, sched: &ModuloSchedule, node: NodeId) -> bool {
+    let has_sched_pred = graph
+        .predecessors(node)
+        .any(|p| p != node && sched.placement(p).is_some());
+    let has_sched_succ = graph
+        .successors(node)
+        .any(|s| s != node && sched.placement(s).is_some());
+    !has_sched_pred && !has_sched_succ
 }
 
 /// Compute the SMS order of all nodes of `graph` (see module docs); an `Err` carries
@@ -569,16 +639,55 @@ mod tests {
         assert!(!a_range.contains(&idx[2]) && !a_range.contains(&idx[3]));
     }
 
+    /// A loop-carried edge binds the analysis only at small IIs: past them the
+    /// cached orders (the fallback included) are kept, and a step whose analysis
+    /// differs rebuilds them.
+    #[test]
+    fn node_orders_are_reused_while_the_analysis_is_unchanged() {
+        let mut g = GraphBuilder::new("carried")
+            .node("ld", OpClass::Load)
+            .node("mul", OpClass::FpMul)
+            .node("add", OpClass::FpAdd)
+            .node("ld2", OpClass::Load)
+            .node("st2", OpClass::Store)
+            .flow("ld", "mul")
+            .flow("mul", "add")
+            .flow("ld2", "st2")
+            .build();
+        // `add` (ASAP 6) feeds the next iteration's `ld2`: ASAP(ld2) is
+        // 6 + 9 − II until II reaches 15, and 0 from then on.
+        g.add_edge(NodeId(2), NodeId(3), 9, 1, DepKind::Flow);
+        let sets = node_sets(&g);
+        let mut orders = NodeOrders::default();
+        let refresh = |orders: &mut NodeOrders, ii| {
+            orders
+                .refresh(&g, &sets, GraphAnalysis::new(&g, ii))
+                .unwrap();
+            assert_eq!(orders.sms(), sms_order(&g, ii).unwrap(), "II {ii}");
+            assert_eq!(orders.analysis().ii, ii);
+        };
+        for ii in 13..=15 {
+            refresh(&mut orders, ii);
+            assert!(
+                orders.topological.is_none(),
+                "the analysis moved at II {ii}"
+            );
+            orders.build_topological(&g).unwrap();
+        }
+        for ii in 16..20 {
+            refresh(&mut orders, ii);
+            let fresh = topological_order(&g, &GraphAnalysis::new(&g, ii)).unwrap();
+            assert_eq!(orders.topological.as_deref(), Some(&fresh[..]), "II {ii}");
+        }
+    }
+
     #[test]
     fn ordering_context_detects_new_subgraphs() {
         let g = saxpy();
-        let ctx = OrderingContext {
-            analysis: GraphAnalysis::new(&g, 1),
-            order: sms_order(&g, 1).unwrap(),
-        };
+        let order = sms_order(&g, 1).unwrap();
         let sched = ModuloSchedule::new("saxpy", g.n_nodes(), 1, 1);
         // Nothing scheduled yet: the first node starts a new subgraph.
-        assert!(ctx.starts_new_subgraph(&g, &sched, ctx.order[0]));
+        assert!(starts_new_subgraph(&g, &sched, order[0]));
     }
 
     #[test]

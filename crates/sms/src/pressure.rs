@@ -25,10 +25,21 @@
 //! [`PressureTracker`] is the one implementation of this model.  Placing node `n`
 //! can only change the ranges of `n` and of its placed value predecessors, so the
 //! tracker re-derives just those against the trial schedule and applies the
-//! difference — O(degree × II) per probe.  `fits` counts over-capacity
-//! (cluster, row) entries as rows cross the register-file size, which keeps it
-//! equal to a from-scratch check even for the tampered trials a hostile
-//! [`crate::engine::ClusterPolicy`] may commit (the fault-injection campaigns do).
+//! difference — O(degree × II) per probe.  The difference is applied by row
+//! deltas: a producer holds at most one range per cluster, and where a cluster's
+//! old and new range share a start only the rows of the grown or shrunk tail
+//! change.  `fits` counts over-capacity (cluster, row) entries as rows cross the
+//! register-file size, which keeps it equal to a from-scratch check even for the
+//! tampered trials a hostile [`crate::engine::ClusterPolicy`] may commit (the
+//! fault-injection campaigns do).
+//!
+//! A trial answers `fits` only ([`PressureTracker::evaluate`]); the `MaxLive` of a
+//! trial ([`PressureTracker::trial_max_live`]) is a separate query, asked only by
+//! the tie-break that reads it.  The engine commits with
+//! [`PressureTracker::commit`]; the exact solver commits with
+//! [`PressureTracker::commit_undoable`], which logs the committed ranges each
+//! commit replaces, and backtracks with [`PressureTracker::undo`], which puts
+//! them back by the same row deltas.
 //!
 //! The from-scratch view is a fold of the same commits:
 //! [`PressureTracker::of_schedule`] re-arms a tracker and derives every placed
@@ -139,7 +150,7 @@ fn push_producer_ranges(
 /// II)·II) mod II == start mod II).
 #[inline]
 fn apply_range_rows(rows: &mut [u32], ii: u32, r: &LiveRange, mut f: impl FnMut(&mut u32, u32)) {
-    let len = (r.end - r.start).max(1);
+    let len = occupancy(r);
     let full = (len / ii as i64) as u32;
     let rem = (len % ii as i64) as usize;
     if full > 0 {
@@ -157,48 +168,34 @@ fn apply_range_rows(rows: &mut [u32], ii: u32, r: &LiveRange, mut f: impl FnMut(
     }
 }
 
-/// Delta-maintained `[cluster × II]` live-value counts plus the per-producer
-/// ranges they came from.  The engine re-arms one per scheduling attempt, the
-/// exact solver in `vliw_lint` one per candidate II.
-#[derive(Debug, Default)]
-pub struct PressureTracker {
-    ii: u32,
-    registers: u32,
-    /// Row-major `[cluster × II]` live-value counts for the *committed* schedule.
-    pressure: Vec<u32>,
-    /// How many (cluster, row) entries currently exceed the register-file size.
-    overflow: u32,
-    /// Committed live ranges, grouped by producer node (indexed by `NodeId`).
-    ranges_of: Vec<Vec<LiveRange>>,
-    // Scratch buffers, reused across probes.
-    affected: Vec<NodeId>,
-    /// Node whose affected set is already in `affected` (hoisted once per probe
-    /// via [`PressureTracker::prepare_probe`]; the set depends only on which
-    /// *predecessors* are placed, so it is invariant across the probe's cycle
-    /// scan).
-    prepared: Option<NodeId>,
-    new_ranges: Vec<LiveRange>,
-    /// The affected producers whose ranges over the current schedule differ from
-    /// their committed ranges, each with the span of its new ranges in
-    /// `new_ranges` (equal ranges are not swapped at all — the add and the retract
-    /// would cancel exactly).
-    swapped: Vec<(NodeId, Range<usize>)>,
-    remote: Vec<Option<(i64, i64)>>,
+/// Cycles a range occupies a register: at least one, even for a value with no
+/// consumer.
+#[inline]
+fn occupancy(r: &LiveRange) -> i64 {
+    (r.end - r.start).max(1)
 }
 
-/// Apply `ranges` to the flat pressure array, keeping the over-capacity row count
-/// in sync. `ADD` selects add vs. retract (a const generic so the hot closure
-/// stays branch-free after monomorphization).
-fn apply_ranges<const ADD: bool>(
-    pressure: &mut [u32],
-    overflow: &mut u32,
-    registers: u32,
+/// The `[cluster × II]` live-value counts plus the number of over-capacity
+/// entries, kept in sync as ranges come and go.
+#[derive(Debug, Default)]
+struct Grid {
     ii: u32,
-    ranges: &[LiveRange],
-) {
-    for r in ranges {
-        let rows = &mut pressure[r.cluster * ii as usize..(r.cluster + 1) * ii as usize];
-        apply_range_rows(rows, ii, r, |slot, v| {
+    registers: u32,
+    /// Row-major `[cluster × II]` live-value counts.
+    rows: Vec<u32>,
+    /// How many (cluster, row) entries currently exceed the register-file size.
+    overflow: u32,
+}
+
+impl Grid {
+    /// Add (`ADD`) or retract one range, keeping the over-capacity count exact (a
+    /// const generic so the hot closure stays branch-free after monomorphization).
+    fn apply<const ADD: bool>(&mut self, r: &LiveRange) {
+        let ii = self.ii as usize;
+        let registers = self.registers;
+        let overflow = &mut self.overflow;
+        let rows = &mut self.rows[r.cluster * ii..(r.cluster + 1) * ii];
+        apply_range_rows(rows, self.ii, r, |slot, v| {
             let was_over = *slot > registers;
             if ADD {
                 *slot += v;
@@ -213,6 +210,78 @@ fn apply_ranges<const ADD: bool>(
             }
         });
     }
+
+    /// Move one producer's contribution from its ranges `old` to its ranges `new`
+    /// by row deltas.  A producer holds at most one range per cluster; where the
+    /// old and the new range on a cluster share a start, only the rows of the
+    /// grown or shrunk tail change (cycles `start + min(len)..start + max(len)`),
+    /// so only those are added or retracted.  Every other range is retracted or
+    /// added whole.  The counts are exact in any order, so the result equals
+    /// retracting all of `old` and adding all of `new`.
+    fn replace(&mut self, old: &[LiveRange], new: &[LiveRange]) {
+        let same_start = |a: &LiveRange, others: &[LiveRange]| {
+            others
+                .iter()
+                .find(|b| b.cluster == a.cluster)
+                .filter(|b| b.start == a.start)
+                .copied()
+        };
+        for o in old {
+            match same_start(o, new) {
+                Some(n) => {
+                    let (was, now) = (occupancy(o), occupancy(&n));
+                    let tail = LiveRange {
+                        start: o.start + was.min(now),
+                        end: o.start + was.max(now),
+                        ..*o
+                    };
+                    if now > was {
+                        self.apply::<true>(&tail);
+                    } else if now < was {
+                        self.apply::<false>(&tail);
+                    }
+                }
+                None => self.apply::<false>(o),
+            }
+        }
+        for n in new {
+            if same_start(n, old).is_none() {
+                self.apply::<true>(n);
+            }
+        }
+    }
+}
+
+/// Delta-maintained `[cluster × II]` live-value counts plus the per-producer
+/// ranges they came from.  The engine re-arms one per scheduling attempt, the
+/// exact solver in `vliw_lint` one per candidate II.
+#[derive(Debug, Default)]
+pub struct PressureTracker {
+    /// Live-value counts for the *committed* schedule.
+    grid: Grid,
+    /// Committed live ranges, grouped by producer node (indexed by `NodeId`).
+    ranges_of: Vec<Vec<LiveRange>>,
+    // Scratch buffers, reused across probes.
+    affected: Vec<NodeId>,
+    /// Node whose affected set is already in `affected` (hoisted once per probe
+    /// via [`PressureTracker::prepare_probe`]; the set depends only on which
+    /// *predecessors* are placed, so it is invariant across the probe's cycle
+    /// scan and across the probes of the node's clusters).
+    prepared: Option<NodeId>,
+    new_ranges: Vec<LiveRange>,
+    /// The affected producers whose ranges over the current schedule differ from
+    /// their committed ranges, each with the span of its new ranges in
+    /// `new_ranges` (equal ranges are not swapped at all — the add and the retract
+    /// would cancel exactly).
+    swapped: Vec<(NodeId, Range<usize>)>,
+    remote: Vec<Option<(i64, i64)>>,
+    /// Undo log of [`PressureTracker::commit_undoable`]: every producer a logged
+    /// commit changed, with the span of its replaced committed ranges in
+    /// `undo_ranges`; `undo_marks` holds where each logged commit's entries
+    /// start.
+    undo_entries: Vec<(NodeId, Range<usize>)>,
+    undo_ranges: Vec<LiveRange>,
+    undo_marks: Vec<usize>,
 }
 
 impl PressureTracker {
@@ -241,26 +310,23 @@ impl PressureTracker {
             let committed = &mut self.ranges_of[op.node.index()];
             debug_assert!(committed.is_empty(), "commit_placed needs a reset tracker");
             push_producer_ranges(graph, sched, op.node, &mut self.remote, committed);
-            apply_ranges::<true>(
-                &mut self.pressure,
-                &mut self.overflow,
-                self.registers,
-                self.ii,
-                committed,
-            );
+            for r in committed.iter() {
+                self.grid.apply::<true>(r);
+            }
         }
     }
 
     /// Whether every cluster's committed pressure fits its register file.
     pub fn fits(&self) -> bool {
-        self.overflow == 0
+        self.grid.overflow == 0
     }
 
     /// Committed `MaxLive` per cluster: the largest live-value count over the
     /// cluster's `II` rows.
     pub fn max_live(&self) -> Vec<u32> {
-        self.pressure
-            .chunks_exact(self.ii.max(1) as usize)
+        self.grid
+            .rows
+            .chunks_exact(self.grid.ii.max(1) as usize)
             .map(|rows| rows.iter().copied().max().unwrap_or(0))
             .collect()
     }
@@ -273,13 +339,13 @@ impl PressureTracker {
 
     /// Re-arm for a fresh (empty) scheduling attempt at `ii`.
     pub fn reset(&mut self, machine: &MachineConfig, n_nodes: usize, ii: u32) {
-        self.ii = ii;
+        self.grid.ii = ii;
         // Pressure counts are `u32`, so a register file at least that large can
         // never overflow: saturate instead of truncating.
-        self.registers = u32::try_from(machine.cluster.registers).unwrap_or(u32::MAX);
-        self.pressure.clear();
-        self.pressure.resize(machine.n_clusters * ii as usize, 0);
-        self.overflow = 0;
+        self.grid.registers = u32::try_from(machine.cluster.registers).unwrap_or(u32::MAX);
+        self.grid.rows.clear();
+        self.grid.rows.resize(machine.n_clusters * ii as usize, 0);
+        self.grid.overflow = 0;
         if self.ranges_of.len() < n_nodes {
             self.ranges_of.resize_with(n_nodes, Vec::new);
         }
@@ -289,6 +355,9 @@ impl PressureTracker {
         self.remote.clear();
         self.remote.resize(machine.n_clusters, None);
         self.prepared = None;
+        self.undo_entries.clear();
+        self.undo_ranges.clear();
+        self.undo_marks.clear();
     }
 
     /// Collect the affected set for a whole probe of `node` up front, so the
@@ -296,10 +365,15 @@ impl PressureTracker {
     ///
     /// Sound because the set depends only on `node`'s class and on which of its
     /// *predecessors* are placed — neither changes while the probe scans cycles
-    /// (only `node` itself is tentatively placed and rolled back).  Call with
-    /// the committed schedule (the trial not yet applied); the preparation is
-    /// invalidated by [`PressureTracker::commit`] and [`PressureTracker::reset`].
+    /// (only `node` itself is tentatively placed and rolled back), nor between the
+    /// probes of `node` on different clusters, so a second call for the same node
+    /// returns at once.  Call with the committed schedule (the trial not yet
+    /// applied); the preparation is invalidated by every commit, by
+    /// [`PressureTracker::undo`] and by [`PressureTracker::reset`].
     pub fn prepare_probe(&mut self, graph: &DepGraph, sched: &ModuloSchedule, node: NodeId) {
+        if self.prepared == Some(node) {
+            return;
+        }
         self.collect_affected(graph, sched, node);
         self.prepared = Some(node);
     }
@@ -345,18 +419,17 @@ impl PressureTracker {
             // No committed ranges: stays empty iff `p` defines no value.
             return !graph.node(p).class.defines_value();
         };
-        let ii = self.ii as i64;
+        let ii = self.grid.ii as i64;
         graph
             .in_edges(node)
             .filter(|e| e.kind.carries_value() && e.src == p)
             .all(|e| np.cycle + e.distance as i64 * ii <= prod.end)
     }
 
-    /// Swap the affected producers' committed ranges out of the grid and their
-    /// ranges over `sched` in, recording each changed producer in `swapped`.
+    /// Move the affected producers from their committed ranges to their ranges
+    /// over `sched` in the grid, recording each changed producer in `swapped`.
     /// `affected` must hold `node`'s affected set; `ranges_of` is left as is.
     fn swap_in(&mut self, graph: &DepGraph, sched: &ModuloSchedule, node: NodeId) {
-        let ii = self.ii;
         self.new_ranges.clear();
         self.swapped.clear();
         for idx in 0..self.affected.len() {
@@ -368,66 +441,72 @@ impl PressureTracker {
             }
             let start = self.new_ranges.len();
             push_producer_ranges(graph, sched, p, &mut self.remote, &mut self.new_ranges);
-            let Self {
-                pressure,
-                overflow,
-                ranges_of,
-                new_ranges,
-                registers,
-                swapped,
-                ..
-            } = self;
-            if new_ranges[start..] == ranges_of[p.index()][..] {
-                new_ranges.truncate(start);
+            let committed = &self.ranges_of[p.index()];
+            if self.new_ranges[start..] == committed[..] {
+                self.new_ranges.truncate(start);
                 continue;
             }
-            swapped.push((p, start..new_ranges.len()));
-            apply_ranges::<false>(pressure, overflow, *registers, ii, &ranges_of[p.index()]);
-            apply_ranges::<true>(pressure, overflow, *registers, ii, &new_ranges[start..]);
+            self.swapped.push((p, start..self.new_ranges.len()));
+            self.grid.replace(committed, &self.new_ranges[start..]);
         }
     }
 
-    /// Register feasibility of a trial placement of `node` on `cluster`.
+    /// Swap a trial of `node` in, read the grid with `read`, and restore the
+    /// committed state.  `sched` must already hold the trial (node placed,
+    /// transfers added).
+    fn with_trial<R>(
+        &mut self,
+        graph: &DepGraph,
+        sched: &ModuloSchedule,
+        node: NodeId,
+        read: impl FnOnce(&Grid) -> R,
+    ) -> R {
+        debug_assert_eq!(sched.ii(), self.grid.ii);
+        if self.prepared != Some(node) {
+            // `affected` is about to stop holding the prepared node's set.
+            self.prepared = None;
+            self.collect_affected(graph, sched, node);
+        }
+        self.swap_in(graph, sched, node);
+        let out = read(&self.grid);
+        // Undo: the trial is not committed.
+        for (p, span) in &self.swapped {
+            self.grid
+                .replace(&self.new_ranges[span.clone()], &self.ranges_of[p.index()]);
+        }
+        out
+    }
+
+    /// Register feasibility of a trial placement of `node`: whether every
+    /// cluster's pressure fits its register file, exactly as
+    /// [`PressureTracker::of_schedule`] over the trial schedule would report.
     ///
-    /// `sched` must already hold the trial (node placed, transfers added).
-    /// Returns `(fits, MaxLive of cluster)` exactly as
-    /// [`PressureTracker::of_schedule`] over the trial schedule would, then
-    /// restores the tracker to the committed state.
-    pub fn evaluate(
+    /// `sched` must already hold the trial (node placed, transfers added).  The
+    /// tracker is left in the committed state.  No `MaxLive` is read here: only
+    /// BSA's last tie-break needs one, and it asks
+    /// [`PressureTracker::trial_max_live`] for just the candidates that reach it.
+    pub fn evaluate(&mut self, graph: &DepGraph, sched: &ModuloSchedule, node: NodeId) -> bool {
+        self.with_trial(graph, sched, node, |grid| grid.overflow == 0)
+    }
+
+    /// `MaxLive` of `cluster` under a trial placement of `node`, exactly as
+    /// [`PressureTracker::of_schedule`] over the trial schedule would report.
+    /// Same contract as [`PressureTracker::evaluate`].
+    pub fn trial_max_live(
         &mut self,
         graph: &DepGraph,
         sched: &ModuloSchedule,
         node: NodeId,
         cluster: usize,
-    ) -> (bool, u32) {
-        debug_assert_eq!(sched.ii(), self.ii);
-        let ii = self.ii;
-        if self.prepared != Some(node) {
-            self.collect_affected(graph, sched, node);
-        }
-        self.swap_in(graph, sched, node);
-        let fits = self.overflow == 0;
-        let max_live = self.pressure[cluster * ii as usize..(cluster + 1) * ii as usize]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0);
-
-        // Undo: the trial is not committed yet.
-        let Self {
-            pressure,
-            overflow,
-            ranges_of,
-            new_ranges,
-            registers,
-            swapped,
-            ..
-        } = self;
-        apply_ranges::<false>(pressure, overflow, *registers, ii, new_ranges);
-        for (p, _) in swapped.iter() {
-            apply_ranges::<true>(pressure, overflow, *registers, ii, &ranges_of[p.index()]);
-        }
-        (fits, max_live)
+    ) -> u32 {
+        self.with_trial(graph, sched, node, |grid| {
+            let ii = grid.ii as usize;
+            grid.rows[cluster * ii..(cluster + 1) * ii]
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(0)
+        })
     }
 
     /// Fold a placement just committed into the tracked state.
@@ -439,14 +518,64 @@ impl PressureTracker {
     /// predecessors' (every transfer a placement adds leaves `node` or one of
     /// them).
     pub fn commit(&mut self, graph: &DepGraph, sched: &ModuloSchedule, node: NodeId) {
+        debug_assert!(
+            self.undo_marks.is_empty(),
+            "a plain commit on top of an undoable one would break its undo"
+        );
+        self.commit_logged(graph, sched, node, false);
+    }
+
+    /// [`PressureTracker::commit`], logging the committed ranges it replaces so
+    /// that [`PressureTracker::undo`] can revert it without recomputing any range.
+    /// The exact solver commits this way and undoes on backtrack.
+    pub fn commit_undoable(&mut self, graph: &DepGraph, sched: &ModuloSchedule, node: NodeId) {
+        self.undo_marks.push(self.undo_entries.len());
+        self.commit_logged(graph, sched, node, true);
+    }
+
+    /// The commit behind both entry points; `log` records the replaced ranges
+    /// for [`PressureTracker::undo`].
+    fn commit_logged(&mut self, graph: &DepGraph, sched: &ModuloSchedule, node: NodeId, log: bool) {
         self.prepared = None;
         self.collect_affected(graph, sched, node);
         self.swap_in(graph, sched, node);
         for (p, span) in &self.swapped {
             let committed = &mut self.ranges_of[p.index()];
+            if log {
+                let logged = self.undo_ranges.len();
+                self.undo_ranges.extend_from_slice(committed);
+                self.undo_entries.push((*p, logged..self.undo_ranges.len()));
+            }
             committed.clear();
             committed.extend_from_slice(&self.new_ranges[span.clone()]);
         }
+    }
+
+    /// Revert the latest [`PressureTracker::commit_undoable`] not yet undone: each
+    /// producer it changed gets its logged ranges back, and the grid moves back
+    /// by the same row deltas.  Commits and undos nest like a stack.
+    pub fn undo(&mut self) {
+        self.prepared = None;
+        let mark = self
+            .undo_marks
+            .pop()
+            .expect("undo needs an undoable commit to revert");
+        let Self {
+            grid,
+            ranges_of,
+            undo_entries,
+            undo_ranges,
+            ..
+        } = self;
+        let mut logged_from = undo_ranges.len();
+        for (p, span) in undo_entries.drain(mark..).rev() {
+            let committed = &mut ranges_of[p.index()];
+            grid.replace(committed, &undo_ranges[span.clone()]);
+            committed.clear();
+            committed.extend_from_slice(&undo_ranges[span.clone()]);
+            logged_from = span.start;
+        }
+        undo_ranges.truncate(logged_from);
     }
 }
 
@@ -485,7 +614,11 @@ mod tests {
 
     /// The committed state two trackers must share to be interchangeable.
     fn state(tracker: &PressureTracker) -> (Vec<u32>, u32, Vec<LiveRange>) {
-        (tracker.pressure.clone(), tracker.overflow, tracker.ranges())
+        (
+            tracker.grid.rows.clone(),
+            tracker.grid.overflow,
+            tracker.ranges(),
+        )
     }
 
     /// Drive the tracker through a hand-built placement sequence and check every
@@ -535,7 +668,8 @@ mod tests {
             // Trial: apply, evaluate, compare, roll back.
             let cp = sched.checkpoint();
             apply(&mut sched);
-            let (fits, max_live) = tracker.evaluate(&g, &sched, node, cluster);
+            let fits = tracker.evaluate(&g, &sched, node);
+            let max_live = tracker.trial_max_live(&g, &sched, node, cluster);
             let full = PressureTracker::of_schedule(&g, &sched, &machine);
             assert_eq!(fits, full.fits(), "fits mismatch placing {node:?}");
             assert_eq!(
@@ -556,8 +690,7 @@ mod tests {
 
     /// Committing a node again after its placement was rolled back restores the
     /// tracker to the fold of the rolled-back schedule — including a predecessor
-    /// whose value the placement had sent over a bus.  The exact solver relies on
-    /// this to backtrack.
+    /// whose value the placement had sent over a bus — as its doc promises.
     #[test]
     fn recommit_after_rollback_drops_the_placement() {
         let machine = MachineConfig::two_cluster(1, 2);
@@ -698,6 +831,304 @@ mod tests {
         assert_eq!(run(4), sequential);
     }
 
+    /// What one run of [`drive_tracker`] exercised.
+    #[derive(Debug, Default)]
+    struct Exercised {
+        evaluations: usize,
+        undos: usize,
+        tampered_commits: usize,
+        overflowing_commits: usize,
+    }
+
+    /// Drive a tracker through a random sequence of evaluations, plain commits,
+    /// undoable commits and undos over a random graph and machine (seeded by
+    /// `seed`), checking every answer and every reached state against the
+    /// from-scratch fold.  Register files of 1–4 registers make overflowing
+    /// states common; one commit in eight is tampered (its transfers dropped, as
+    /// a hostile policy may commit).
+    fn drive_tracker(seed: u64) -> Exercised {
+        let mut state_word = seed;
+        let mut next = move || {
+            state_word = state_word.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state_word;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        const CLASSES: [OpClass; 5] = [
+            OpClass::Load,
+            OpClass::FpAdd,
+            OpClass::FpMul,
+            OpClass::IntAlu,
+            OpClass::Store,
+        ];
+        let n = 2 + (next() % 12) as usize;
+        let mut g = DepGraph::new("random");
+        let ids: Vec<_> = (0..n)
+            .map(|_| g.add_node(CLASSES[(next() % 5) as usize]))
+            .collect();
+        for i in 1..n {
+            for _ in 0..next() % 3 {
+                let p = (next() % i as u64) as usize;
+                g.add_edge(ids[p], ids[i], 1 + (next() % 4) as u32, 0, DepKind::Flow);
+            }
+        }
+        for _ in 0..next() % 4 {
+            let (a, b) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
+            let distance = 1 + (next() % 2) as u32;
+            g.add_edge(
+                ids[a],
+                ids[b],
+                1 + (next() % 3) as u32,
+                distance,
+                DepKind::Flow,
+            );
+        }
+        let machine = MachineConfig::new(
+            "random",
+            1 + (next() % 4) as usize,
+            vliw_arch::ClusterConfig::new(1, 1, 1, 1 + (next() % 4) as usize),
+            vliw_arch::BusConfig::new(1 + (next() % 2) as usize, 1 + (next() % 3) as u32),
+            vliw_arch::LatencyModel::table1(),
+        );
+        let pool = ResourcePool::new(&machine);
+        let ii = 1 + (next() % 6) as u32;
+        let mut sched = ModuloSchedule::new("random", n, ii, 1);
+        let mut tracker = PressureTracker::new();
+        tracker.reset(&machine, n, ii);
+        let mut undo_stack = Vec::new();
+        let mut seen = Exercised::default();
+
+        for _ in 0..3 * n {
+            let unplaced: Vec<NodeId> = g
+                .node_ids()
+                .filter(|&v| sched.placement(v).is_none())
+                .collect();
+            let action = next() % 4;
+            if action == 0 || unplaced.is_empty() {
+                let Some(cp) = undo_stack.pop() else {
+                    continue;
+                };
+                sched.rollback(cp);
+                tracker.undo();
+                seen.undos += 1;
+            } else {
+                let node = unplaced[(next() % unplaced.len() as u64) as usize];
+                let cluster = (next() % machine.n_clusters as u64) as usize;
+                let cycle = (next() % (3 * ii as u64)) as i64 - ii as i64;
+                let tampered = next() % 8 == 0;
+                if action == 1 {
+                    // Evaluate a trial, preparing the probe first (twice: the
+                    // second call must be a no-op) or not at all.
+                    if next() % 2 == 0 {
+                        tracker.prepare_probe(&g, &sched, node);
+                        tracker.prepare_probe(&g, &sched, node);
+                    }
+                    let cp = sched.checkpoint();
+                    apply_random(
+                        &g, &mut sched, &pool, node, cluster, cycle, tampered, &mut next,
+                    );
+                    let full = PressureTracker::of_schedule(&g, &sched, &machine);
+                    assert_eq!(tracker.evaluate(&g, &sched, node), full.fits());
+                    assert_eq!(
+                        tracker.trial_max_live(&g, &sched, node, cluster),
+                        full.max_live()[cluster]
+                    );
+                    sched.rollback(cp);
+                    seen.evaluations += 1;
+                } else {
+                    // Plain commits cannot be undone, so they only happen below
+                    // every pending undoable commit.
+                    let cp = sched.checkpoint();
+                    apply_random(
+                        &g, &mut sched, &pool, node, cluster, cycle, tampered, &mut next,
+                    );
+                    if action == 2 && undo_stack.is_empty() {
+                        tracker.commit(&g, &sched, node);
+                    } else {
+                        tracker.commit_undoable(&g, &sched, node);
+                        undo_stack.push(cp);
+                    }
+                    seen.tampered_commits += usize::from(tampered);
+                    seen.overflowing_commits += usize::from(!tracker.fits());
+                }
+            }
+            let full = PressureTracker::of_schedule(&g, &sched, &machine);
+            assert_eq!(state(&tracker), state(&full), "seed {seed}");
+        }
+        seen
+    }
+
+    /// Place `node` with a transfer for every placed value neighbour on another
+    /// cluster that no recorded transfer serves yet, or with none at all when
+    /// `tampered`.
+    #[allow(clippy::too_many_arguments)]
+    fn apply_random(
+        g: &DepGraph,
+        sched: &mut ModuloSchedule,
+        pool: &ResourcePool,
+        node: NodeId,
+        cluster: usize,
+        cycle: i64,
+        tampered: bool,
+        next: &mut impl FnMut() -> u64,
+    ) {
+        let bus = pool.buses().next();
+        let mut transfers = Vec::new();
+        for e in g
+            .in_edges(node)
+            .filter(|e| e.kind.carries_value() && e.src != node)
+        {
+            if let Some(p) = sched.placement(e.src).filter(|p| p.cluster != cluster) {
+                let start = p.cycle + i64::from(e.latency) + (next() % 3) as i64;
+                transfers.push((e.src, e.dst, p.cluster, cluster, start));
+            }
+        }
+        for e in g
+            .out_edges(node)
+            .filter(|e| e.kind.carries_value() && e.dst != node)
+        {
+            if let Some(s) = sched.placement(e.dst).filter(|s| s.cluster != cluster) {
+                let start = cycle + i64::from(e.latency) + (next() % 3) as i64;
+                transfers.push((node, e.dst, cluster, s.cluster, start));
+            }
+        }
+        if let (false, Some(bus)) = (tampered, bus) {
+            for (src, dst, from, to, start) in transfers {
+                let served = sched
+                    .comms()
+                    .iter()
+                    .any(|c| c.src_node == src && c.to_cluster == to);
+                if !served {
+                    sched.add_comm(CommPlacement {
+                        src_node: src,
+                        dst_node: dst,
+                        from_cluster: from,
+                        to_cluster: to,
+                        bus,
+                        start_cycle: start,
+                        duration: 1,
+                    });
+                }
+            }
+        }
+        let kind = g.node(node).class.fu_kind();
+        sched.place(PlacedOp {
+            node,
+            cycle,
+            cluster,
+            fu: pool.fus(cluster, kind).next().unwrap(),
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn random_commits_undos_and_evaluations_match_the_fold(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            drive_tracker(seed);
+        }
+    }
+
+    /// The random driver reaches what the property test is meant to cover.
+    #[test]
+    fn the_random_tracker_driver_covers_undos_and_overflowing_tampered_commits() {
+        let total = (0..64)
+            .map(drive_tracker)
+            .fold(Exercised::default(), |a, b| Exercised {
+                evaluations: a.evaluations + b.evaluations,
+                undos: a.undos + b.undos,
+                tampered_commits: a.tampered_commits + b.tampered_commits,
+                overflowing_commits: a.overflowing_commits + b.overflowing_commits,
+            });
+        assert!(total.evaluations > 0, "{total:?}");
+        assert!(total.undos > 0, "{total:?}");
+        assert!(total.tampered_commits > 0, "{total:?}");
+        assert!(total.overflowing_commits > 0, "{total:?}");
+    }
+
+    /// Moving a producer's ranges by row deltas leaves the grid exactly where
+    /// retracting the old ranges and adding the new ones whole would.
+    #[test]
+    fn row_deltas_match_whole_range_moves() {
+        let range = |cluster, start, end| LiveRange {
+            node: NodeId(0),
+            cluster,
+            start,
+            end,
+        };
+        // II 4, two clusters, two registers; the base ranges put some rows at
+        // and over capacity so the overflow count moves too.
+        let base = [range(0, 0, 6), range(1, 2, 5), range(0, 3, 4)];
+        let cases: [(&str, Vec<LiveRange>, Vec<LiveRange>); 9] = [
+            (
+                "same start, grown",
+                vec![range(0, 1, 3)],
+                vec![range(0, 1, 6)],
+            ),
+            (
+                "same start, shrunk",
+                vec![range(0, 1, 6)],
+                vec![range(0, 1, 2)],
+            ),
+            (
+                "empty range grown",
+                vec![range(0, 2, 2)],
+                vec![range(0, 2, 4)],
+            ),
+            ("moved start", vec![range(0, 1, 3)], vec![range(0, 2, 3)]),
+            (
+                "changed cluster",
+                vec![range(0, 1, 3)],
+                vec![range(1, 1, 3)],
+            ),
+            (
+                "grown by at least II",
+                vec![range(1, 1, 2)],
+                vec![range(1, 1, 11)],
+            ),
+            (
+                "shrunk by at least II",
+                vec![range(1, -3, 9)],
+                vec![range(1, -3, -1)],
+            ),
+            ("wrapped rows", vec![range(0, 3, 5)], vec![range(0, 3, 7)]),
+            (
+                "a remote range appears",
+                vec![range(0, 0, 2)],
+                vec![range(0, 0, 3), range(1, 5, 7)],
+            ),
+        ];
+        let grid_with = |ranges: &[LiveRange]| {
+            let mut grid = Grid {
+                ii: 4,
+                registers: 2,
+                rows: vec![0; 8],
+                overflow: 0,
+            };
+            for r in base.iter().chain(ranges) {
+                grid.apply::<true>(r);
+            }
+            grid
+        };
+        for (name, old, new) in cases {
+            let mut moved = grid_with(&old);
+            moved.replace(&old, &new);
+            let whole = grid_with(&new);
+            assert_eq!(moved.rows, whole.rows, "{name}");
+            assert_eq!(moved.overflow, whole.overflow, "{name}");
+            moved.replace(&new, &old);
+            let back = grid_with(&old);
+            assert_eq!(
+                (moved.rows, moved.overflow),
+                (back.rows, back.overflow),
+                "{name}"
+            );
+        }
+    }
+
     /// A register file too large for `u32` (still a valid machine) must never
     /// report an overflow: the count saturates instead of wrapping to zero.
     #[test]
@@ -728,7 +1159,10 @@ mod tests {
             cluster: 0,
             fu: pool.fus(0, FuKind::Fp).next().unwrap(),
         });
-        let got = tracker.evaluate(&g, &sched, b, 0);
+        let got = (
+            tracker.evaluate(&g, &sched, b),
+            tracker.trial_max_live(&g, &sched, b, 0),
+        );
         let full = PressureTracker::of_schedule(&g, &sched, &machine);
         assert_eq!(got, (full.fits(), full.max_live()[0]));
         assert!(got.0);
@@ -762,8 +1196,7 @@ mod tests {
             });
             tracker.commit(&g, &sched, p);
         }
-        let before = tracker.pressure.clone();
-        let overflow_before = tracker.overflow;
+        let before = state(&tracker);
 
         // Trial placing the consumer far out keeps all 20 producers live at once:
         // more than the 16 registers of a four_cluster machine.
@@ -774,11 +1207,11 @@ mod tests {
             cluster: 0,
             fu: pool.fus(0, FuKind::Fp).next().unwrap(),
         });
-        let (fits, _) = tracker.evaluate(&g, &sched, consumer, 0);
+        let fits = tracker.evaluate(&g, &sched, consumer);
+        tracker.trial_max_live(&g, &sched, consumer, 0);
         sched.rollback(cp);
         assert!(!fits);
-        assert_eq!(tracker.pressure, before);
-        assert_eq!(tracker.overflow, overflow_before);
+        assert_eq!(state(&tracker), before);
     }
 
     /// A committed state that itself overflows (possible only via tampered trials,
@@ -821,7 +1254,7 @@ mod tests {
             fu: pool.fus(0, FuKind::Fp).next().unwrap(),
         });
         tracker.commit(&g, &sched, consumer);
-        assert!(tracker.overflow > 0);
+        assert!(!tracker.fits());
 
         // A later trial in a *different* cluster must still report the overflow,
         // exactly as the whole-map check would.
@@ -832,7 +1265,8 @@ mod tests {
             cluster: 1,
             fu: pool.fus(1, FuKind::Mem).next().unwrap(),
         });
-        let (fits, max_live) = tracker.evaluate(&g, &sched, tail, 1);
+        let fits = tracker.evaluate(&g, &sched, tail);
+        let max_live = tracker.trial_max_live(&g, &sched, tail, 1);
         let full = PressureTracker::of_schedule(&g, &sched, &machine);
         assert_eq!(fits, full.fits());
         assert!(!fits);
